@@ -5,7 +5,7 @@ Trains a small retrofitted model, persists it through the
 :class:`~repro.serving.ShardedServingTier`: text values hash-partitioned
 across shard worker processes, each slicing its rows out of one read-only
 memory-mapped matrix (pages shared across workers — no per-process full
-copy).  The retrofit applier runs in its own process and publishes
+copy).  Writes run in the tier's primary process, which publishes
 through the store's versioned delta records; a
 :class:`~repro.serving.RateLimiter` throttles write admission so bursts
 degrade writes, never reads.
@@ -44,11 +44,11 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as store_dir:
         # 2. persist: the sharded tier always serves a store artifact —
-        # the store's delta records are how the applier process publishes
+        # the store's delta records are how the primary process publishes
         store = EmbeddingStore(store_dir)
         store.save_embedding_set("model", result.embeddings)
 
-        # 3. serve: two shard workers + one applier process; the tier
+        # 3. serve: two shard workers + one primary process; the tier
         # owns the database and the retrofitter once started
         retrofitter = pipeline.incremental_retrofitter(result)
         with ShardedServingTier(
@@ -70,7 +70,7 @@ def main() -> None:
                 print(f"  {score:+.3f}  {category}  {text!r}")
 
             # writes: submit a database delta; the ticket resolves once
-            # the applier published the new version to the store
+            # the primary published the new version to the store
             delta = DatabaseDelta()
             delta.insert("movies", {
                 "id": 90_001, "title": "the meridian line",

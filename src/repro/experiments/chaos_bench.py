@@ -109,8 +109,8 @@ def _build_schedule(index: int, seed: int) -> _Schedule:
             # respawned workers (which inherit a fresh counter) survive
             # the recovery-phase probes
             return _Schedule(
-                index, fault_class, tier_kind, "shard.worker",
-                FaultPlan(points=(FaultPoint("shard.worker", "crash", skip=8),)),
+                index, fault_class, tier_kind, "repl.worker",
+                FaultPlan(points=(FaultPoint("repl.worker", "crash", skip=8),)),
             )
         # the primary dies mid-publish; the front's landed-check retries
         # the in-flight batch on the promoted follower
@@ -135,7 +135,7 @@ def _build_schedule(index: int, seed: int) -> _Schedule:
     if fault_class == "torn_write":
         tear = float(rng.uniform(0.2, 0.8))
         if tier_kind == "sharded":
-            # the applier's second append tears mid-matrix-write; the
+            # the primary's second append tears mid-matrix-write; the
             # tier latches an explicit write-degraded state and the store
             # keeps serving the previous committed version
             return _Schedule(
@@ -166,9 +166,9 @@ def _build_schedule(index: int, seed: int) -> _Schedule:
         if tier_kind == "sharded":
             skip = 1 + int(rng.integers(0, 3))
             return _Schedule(
-                index, fault_class, tier_kind, "shard.pipe_send",
+                index, fault_class, tier_kind, "repl.pipe_send",
                 FaultPlan(points=(
-                    FaultPoint("shard.pipe_send", "drop_message", skip=skip),
+                    FaultPoint("repl.pipe_send", "drop_message", skip=skip),
                 )),
             )
         # heartbeat probes sweep [follower0, follower1, primary]; ten
@@ -184,10 +184,10 @@ def _build_schedule(index: int, seed: int) -> _Schedule:
     if fault_class == "fail_spawn":
         if tier_kind == "sharded":
             return _Schedule(
-                index, fault_class, tier_kind, "shard.respawn",
+                index, fault_class, tier_kind, "repl.respawn",
                 FaultPlan(points=(
-                    FaultPoint("shard.worker", "crash", skip=8),
-                    FaultPoint("shard.respawn", "fail_spawn"),
+                    FaultPoint("repl.worker", "crash", skip=8),
+                    FaultPoint("repl.respawn", "fail_spawn"),
                 )),
             )
         # one follower: probes sweep [follower, primary], so seven drops
@@ -433,11 +433,11 @@ def _run_schedule(
                 # traversals align with the probe sweep, then wait for
                 # the death + respawn transition to complete
                 if not _wait_for_event(
-                    tier, ("replica_dead", "follower_respawned"), 30.0
+                    tier, ("replica_dead", "replica_respawned"), 30.0
                 ):
                     violations.append(
                         "heartbeat fault never produced replica_dead + "
-                        "follower_respawned events"
+                        "replica_respawned events"
                     )
                 faultlib.clear_fault_plan()
             elif query_triggered:
@@ -465,11 +465,11 @@ def _run_schedule(
                         )
                 if schedule.fault_class == "fail_spawn":
                     if not _wait_for_event(
-                        tier, ("shard_respawn_retry",), 30.0
+                        tier, ("replica_respawn_retry",), 30.0
                     ):
                         violations.append(
                             "injected spawn failure left no "
-                            "shard_respawn_retry event"
+                            "replica_respawn_retry event"
                         )
                 # absorb the second worker's still-armed dropped reply
                 probe_query(tier)
@@ -592,7 +592,7 @@ def _check_exercised(
     cls, tier = schedule.fault_class, schedule.tier_kind
     if cls == "crash":
         if tier == "sharded":
-            if counts.get("shard_respawned", 0) >= 1 or query_errors >= 1:
+            if counts.get("replica_respawned", 0) >= 1 or query_errors >= 1:
                 return True
             return "crash fault left no respawn event and no failed query"
         if stats is not None and stats.failovers >= 1:
@@ -609,7 +609,7 @@ def _check_exercised(
         if tier == "sharded":
             if degraded_report is not None:
                 return True
-            return "torn applier write did not latch the degraded state"
+            return "torn primary write did not latch the degraded state"
         if (stats is not None and stats.failovers >= 1) or write_retries >= 1:
             return True
         return "torn primary write triggered neither failover nor retry"
@@ -622,13 +622,9 @@ def _check_exercised(
             return True
         return "dropped heartbeats never declared a replica dead"
     if cls == "fail_spawn":
-        key = (
-            "shard_respawn_retry" if tier == "sharded"
-            else "follower_respawn_retry"
-        )
-        if counts.get(key, 0) >= 1:
+        if counts.get("replica_respawn_retry", 0) >= 1:
             return True
-        return f"injected spawn failure left no {key} event"
+        return "injected spawn failure left no replica_respawn_retry event"
     return f"unknown fault class {cls!r}"
 
 

@@ -21,8 +21,8 @@ model.  Three phases run over the same settled starting point:
 
 With ``shards >= 1`` two more phases run the same workloads through a
 :class:`~repro.serving.ShardedServingTier` — hash-partitioned worker
-processes over a shared memory-mapped matrix, with the retrofit applier
-in its own process — measuring what moving the solver and the index scans
+processes over a shared memory-mapped matrix, with the retrofit solver
+in the tier's primary process — measuring what moving the solver and the index scans
 off the readers' interpreter buys (on a multi-core box; on one core the
 processes still time-share).
 
@@ -315,7 +315,7 @@ def run_serve_benchmark(
         shard_dir = tempfile.TemporaryDirectory(prefix="serve-bench-shards-")
         store = EmbeddingStore(shard_dir.name)
         store.save_embedding_set("serve", embeddings)
-        # the tier's applier process gets its own pre-stream database copy
+        # the tier's primary process gets its own pre-stream database copy
         # and retrofitter (the runtime above already consumed the shared
         # ones); it replays the identical delta stream
         tier = ShardedServingTier(

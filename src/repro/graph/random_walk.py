@@ -5,12 +5,12 @@ advances *all* walks of a round together, one vectorised ``rng`` draw per
 walk depth: the hot loop is ``walk_length`` numpy operations instead of
 ``n_walks * walk_length`` Python steps.  Walks live in one integer matrix
 (:class:`WalkCorpus`) that the Skip-Gram trainer consumes directly — node
-ids are only materialised as strings for the legacy sentence API.
+ids are only materialised as strings for the streaming sentence API
+(:meth:`RandomWalkGenerator.generate`).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -187,19 +187,3 @@ class RandomWalkGenerator:
             round_matrix = self._round_matrix(order.copy(), rng)
             for row in round_matrix:
                 yield [self._node_ids[i] for i in row[row != PAD]]
-
-    def corpus(self) -> list[list[str]]:
-        """All walks materialised into a list of string sentences.
-
-        .. deprecated:: PR 3
-            The list-of-strings corpus exists for legacy callers only; new
-            code should consume the integer matrix from :meth:`walk_corpus`
-            (DeepWalk trains on it directly, no string round-trip).
-        """
-        warnings.warn(
-            "RandomWalkGenerator.corpus() materialises string sentences; "
-            "use walk_corpus() (integer matrix) or generate() (streaming)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return list(self.generate())

@@ -27,20 +27,25 @@ and resident memory and gates the promised operating points in CI.
 persists and reloads trained artifacts (so a served model never re-runs the
 solver), and :class:`ServingSession` glues the two together behind an LRU
 query cache.  :class:`ServingRuntime` adds the concurrent layer: a
-write-ahead :class:`DeltaQueue` drained by a background applier into
-double-buffered sessions (atomic snapshot swap, epoch-based reclamation)
-while a :class:`BatchedQueryFront` coalesces concurrent top-k requests
-into batched index queries.  :class:`ShardedServingTier` scales that
-across processes: hash-partitioned shard workers over a shared read-only
-memory map, an out-of-process retrofit applier publishing through the
-store's versioned delta records, and :class:`RateLimiter` admission so
-write bursts degrade writes, never reads.  :class:`ReplicatedServingTier`
-promotes those delta records to a replication log — one primary runtime
-publishing, N full-corpus followers tailing, heartbeat failure detection
-and failover — and :class:`HTTPServingFront` puts an asyncio HTTP/JSON
-endpoint with per-client rate limits and read-your-writes routing on top.
-The front speaks the versioned ``/v1`` API — reads *and* idempotent
-delta writes (``POST /v1/submit``), bearer-token scopes, optional TLS —
+write-ahead :class:`DeltaQueue` drained through the shared
+:class:`WritePipeline` into double-buffered sessions (atomic snapshot
+swap, epoch-based reclamation) while a :class:`BatchedQueryFront`
+coalesces concurrent top-k requests into batched index queries.
+
+:class:`ServingTier` scales serving across processes in one shape:
+``partitions × replicas`` workers tailing the store's versioned delta
+log.  :func:`stable_shard` splits the corpus into partitions, replicas of
+a partition share its reads and are respawned from the store, and a read
+merges one answer per partition into the exact single-session top-k.
+Writes take one path — :class:`RateLimiter` admission, the
+:class:`WritePipeline`, then a primary :class:`ServingRuntime` appending
+each update to the log — and a heartbeat drives respawn and failover.
+:class:`ShardedServingTier` (``n_shards`` × 1) and
+:class:`ReplicatedServingTier` (1 × ``n_replicas``) are its named forms.
+:class:`HTTPServingFront` puts an asyncio HTTP/JSON endpoint with
+per-client rate limits and read-your-writes routing on top.  The front
+speaks the versioned ``/v1`` API — reads *and* idempotent delta writes
+(``POST /v1/submit``), bearer-token scopes, optional TLS —
 :class:`MultiFrontDeployment` runs N front processes over one replica
 pool behind a connection-balancing entry point, and
 :class:`ServingClient` is the stdlib client with retries, resubmission
@@ -75,7 +80,7 @@ from repro.serving.runtime import (
     UpdateTicket,
 )
 from repro.serving.session import ServingSession, UpdateStats, default_index_factory
-from repro.serving.sharded import ShardedServingTier, TierStats, stable_shard
+from repro.serving.sharded import ShardedServingTier, TierStats
 from repro.serving.store import (
     DeltaRecord,
     EmbeddingStore,
@@ -87,6 +92,7 @@ from repro.serving.store import (
     extraction_from_dict,
     extraction_to_dict,
 )
+from repro.serving.tier import ServingTier, stable_shard
 
 __all__ = [
     "KIND_EMBEDDING_SET",
@@ -113,6 +119,7 @@ __all__ = [
     "RuntimeStats",
     "ServingRuntime",
     "UpdateTicket",
+    "ServingTier",
     "ShardedServingTier",
     "TierStats",
     "stable_shard",

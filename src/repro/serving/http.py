@@ -160,15 +160,37 @@ class HTTPFrontStats:
         return self.requests / self.batches_dispatched
 
 
+def target_health(target) -> dict:
+    """``/healthz`` body of any serving target (tier, runtime, session)."""
+    degraded = bool(getattr(target, "write_degraded", False)) or bool(
+        getattr(target, "degraded", False)
+    )
+    payload = {
+        "status": "degraded" if degraded else "ok",
+        "version": int(getattr(target, "published_version", 0)),
+    }
+    live = getattr(target, "live_followers", None)
+    if live is not None:
+        payload["live_followers"] = int(live)
+    return payload
+
+
+def target_stats(target) -> dict | None:
+    """A target's ``stats`` as a plain dict (``None`` when it has none)."""
+    stats = getattr(target, "stats", None)
+    if dataclasses.is_dataclass(stats):
+        return dataclasses.asdict(stats)
+    return stats if isinstance(stats, dict) else None
+
+
 class HTTPServingFront:
     """HTTP/JSON serving (top-k reads + delta writes) over a tier.
 
     ``target`` is typically a started
-    :class:`~repro.serving.replicated.ReplicatedServingTier` (whose
-    ``topk_batch_versioned`` supplies the answered version and honours
-    ``min_version`` routing, and whose ``submit`` backs /v1/submit); a
-    :class:`~repro.serving.runtime.ServingRuntime`,
-    :class:`~repro.serving.sharded.ShardedServingTier` or bare
+    :class:`~repro.serving.tier.ServingTier` — replicated or sharded —
+    whose ``topk_batch_versioned`` supplies the answered version and
+    honours ``min_version`` routing, and whose ``submit`` backs
+    /v1/submit; a :class:`~repro.serving.runtime.ServingRuntime` or bare
     :class:`~repro.serving.session.ServingSession` also works —
     ``min_version`` is then ignored and the reported version is the
     target's ``published_version``.  A target without ``submit`` answers
@@ -582,25 +604,13 @@ class HTTPServingFront:
         snapshot = getattr(self._target, "health_snapshot", None)
         if callable(snapshot):
             return dict(snapshot())
-        degraded = bool(getattr(self._target, "write_degraded", False)) or bool(
-            getattr(self._target, "degraded", False)
-        )
-        payload = {
-            "status": "degraded" if degraded else "ok",
-            "version": int(getattr(self._target, "published_version", 0)),
-        }
-        live = getattr(self._target, "live_followers", None)
-        if live is not None:
-            payload["live_followers"] = int(live)
-        return payload
+        return target_health(self._target)
 
     def _stats_payload(self):
         payload = {"front": dataclasses.asdict(self.stats)}
-        target_stats = getattr(self._target, "stats", None)
-        if dataclasses.is_dataclass(target_stats):
-            payload["target"] = dataclasses.asdict(target_stats)
-        elif isinstance(target_stats, dict):
-            payload["target"] = target_stats
+        stats = target_stats(self._target)
+        if stats is not None:
+            payload["target"] = stats
         payload["events"] = self._events.tail(50)
         recent = getattr(self._target, "recent_events", None)
         if callable(recent):

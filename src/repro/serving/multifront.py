@@ -45,7 +45,7 @@ from repro.errors import (
     ServingError,
     WriteDegradedError,
 )
-from repro.serving.http import HTTPServingFront
+from repro.serving.http import HTTPServingFront, target_health, target_stats
 from repro.util import EventLog
 
 #: Counter fields summed across fronts in the aggregate; ``largest_batch``
@@ -506,27 +506,10 @@ class MultiFrontDeployment:
                 return
 
     def _health_snapshot(self) -> dict:
-        tier = self._tier
-        degraded = bool(getattr(tier, "write_degraded", False)) or bool(
-            getattr(tier, "degraded", False)
-        )
-        payload = {
-            "status": "degraded" if degraded else "ok",
-            "version": int(getattr(tier, "published_version", 0)),
-        }
-        live = getattr(tier, "live_followers", None)
-        if live is not None:
-            payload["live_followers"] = int(live)
-        payload["live_fronts"] = self.live_fronts
-        return payload
+        return {**target_health(self._tier), "live_fronts": self.live_fronts}
 
     def _target_stats(self) -> dict:
-        stats = getattr(self._tier, "stats", None)
-        if dataclasses.is_dataclass(stats):
-            return dataclasses.asdict(stats)
-        if isinstance(stats, dict):
-            return stats
-        return {}
+        return target_stats(self._tier) or {}
 
     # ------------------------------------------------------------------ #
     # monitoring + aggregation

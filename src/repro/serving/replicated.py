@@ -1,91 +1,30 @@
-"""Primary/follower replication: log-shipping read replicas with failover.
+"""Replicated serving: full-corpus read replicas over the store's log.
 
-PR 6's :class:`~repro.serving.sharded.ShardedServingTier` partitions one
-box; this module scales *reads* across many worker processes that each
-hold the **full** corpus — the deployment shape where query traffic, not
-corpus size, is the bottleneck.  The store's versioned delta records
-(:meth:`EmbeddingStore.append_embedding_set_delta` /
-:meth:`~EmbeddingStore.read_embedding_set_delta`) are the replication
-log; the shared store directory stands in for shared durable storage (in
-a multi-box deployment :func:`ship_snapshot` moves artifacts between
-store roots the same way).
-
-* One **primary** process runs a full :class:`ServingRuntime` over the
-  database + retrofitter.  Its ``on_publish`` hook appends every applied
-  :class:`~repro.retrofit.incremental.IncrementalUpdateResult` to the
-  store's delta log *before* any ticket resolves, so a version a writer
-  observed is durable and reachable by every replica.
-* N **follower** processes reuse the sharded tier's replay loop
-  (:class:`~repro.serving.sharded._ShardState` with a single shard =
-  the whole corpus): they bootstrap from the base snapshot, tail the
-  log, replay :class:`~repro.serving.store.DeltaRecord`\\ s into their
-  own snapshot and answer reads.  A follower that fell behind a
-  :meth:`~EmbeddingStore.compact_embedding_set` re-bootstraps from the
-  (newer) base snapshot and resumes tailing — snapshot + tail catch-up.
-* The front (:class:`ReplicatedServingTier`) load-balances reads
-  round-robin across live followers.  **Read-your-writes** is routing,
-  not luck: a read carrying ``min_version`` (e.g. a resolved
-  :attr:`UpdateTicket.version`) prefers replicas already at that
-  position, and a lagging replica replays the log before answering.
-* A heartbeat thread detects dead replicas (process liveness + ping).
-  A dead follower is respawned from the store; a dead primary triggers
-  **failover**: the most-caught-up follower is promoted — it receives
-  the front's database mirror, builds a retrofitter over its replayed
-  embeddings and starts draining writes — and a replacement follower is
-  spawned.  The log decides the fate of an in-flight write: store
-  appends are atomic (header rename is the commit point), so the write
-  either landed (its record is in the log — complete the ticket) or
-  provably did not (retry against the new primary).
-
-Unlike the sharded tier there is no scatter-gather: every follower
-answers from the whole corpus and decorates its own results at exactly
-the version it answered with, so concurrent reads against different
-replicas never race a shared catalog.
+:class:`ReplicatedServingTier` is :class:`~repro.serving.tier.ServingTier`
+with ``partitions=1, replicas=n_replicas`` — the deployment shape where
+query traffic, not corpus size, is the bottleneck.  Every follower holds
+the whole corpus, so ``retrofitter_factory`` can arm failover: a dead
+primary is replaced by the most-caught-up follower.  The shared store
+directory stands in for shared durable storage; in a multi-box deployment
+:func:`ship_snapshot` moves artifacts between store roots.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import shutil
-import threading
-import time
-from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from repro.errors import (
-    BackpressureError,
-    ExtractionError,
-    ServingError,
-    StoreFormatError,
-    WriteDegradedError,
-)
-from repro.retrofit.combine import TextValueEmbeddingSet
-from repro.serving.runtime import (
-    DeltaQueue,
-    RateLimiter,
-    ServingRuntime,
-    UpdateTicket,
-)
-from repro.serving.sharded import _POLL_INTERVAL, _RESPAWN_RETRY, _ShardState
+from repro.serving.runtime import RateLimiter
 from repro.serving.store import KIND_EMBEDDING_SET, EmbeddingStore
-from repro.util import EventLog, RetryPolicy, faults
+from repro.serving.tier import ReplicatedTierStats, ServingTier, _ReplicaState
+from repro.util import faults
 
-#: A follower racing a concurrent append can transiently read a
-#: half-visible record; retry briefly before treating it as a compaction.
-_SYNC_RETRY = RetryPolicy(attempts=3, base_delay=0.02, max_delay=0.2, deadline=2.0)
+__all__ = ["ReplicatedServingTier", "ReplicatedTierStats", "ship_snapshot"]
 
-#: How long the front waits for a promoted follower to come up as the new
-#: primary: it must replay its tail and build a retrofitter (one
-#: initialisation pass, no solver run).
-_PROMOTE_TIMEOUT = 120.0
+#: A full-corpus replica snapshot: partition 0 of 1.
+_FollowerState = _ReplicaState
 
 
-# --------------------------------------------------------------------- #
-# snapshot shipping
-# --------------------------------------------------------------------- #
 def ship_snapshot(
     source_root: str | Path,
     artifact: str,
@@ -125,331 +64,24 @@ def ship_snapshot(
     return destination.latest_version(artifact)
 
 
-# --------------------------------------------------------------------- #
-# follower state
-# --------------------------------------------------------------------- #
-class _FollowerState(_ShardState):
-    """A full-corpus replica snapshot: the sharded replay loop, one shard.
-
-    With ``n_shards=1`` every row hashes to shard 0, so ``local_ids`` is
-    the identity mapping and ``vectors`` *is* the full matrix in global
-    row order — which is what makes :meth:`matrix` usable for agreement
-    checks against the serial retrofitter replay.
-    """
-
-    def __init__(self, store: EmbeddingStore, artifact: str, metric: str) -> None:
-        super().__init__(store, artifact, shard_id=0, n_shards=1, metric=metric)
-
-    def sync_to_latest(self) -> None:
-        """Tail the log; fall back to the base snapshot past a compaction.
-
-        A compaction that pruned the record this replica would replay
-        next raises :class:`StoreFormatError` (missing chain link).  When
-        the base snapshot has moved *past* our position, the snapshot is
-        the recovery path: re-bootstrap from it and resume tailing.  A
-        gap the base does not cover is real corruption and re-raises.
-        """
-        try:
-            # a StoreFormatError here is usually transient (a concurrent
-            # append between the writer's matrix and header commits):
-            # jittered retries absorb it without touching the snapshot
-            _SYNC_RETRY.call(
-                lambda: _ShardState.sync_to_latest(self),
-                retry_on=(StoreFormatError,),
-            )
-        except StoreFormatError:
-            if self.store.base_version(self.artifact) <= self.version:
-                raise
-            self.bootstrap()
-            super().sync_to_latest()
-
-    def matrix(self) -> np.ndarray:
-        """The full replayed matrix, rows in global id order."""
-        return np.array(self.vectors)
-
-    def embeddings(self) -> TextValueEmbeddingSet:
-        """The replayed state as an embedding set (promotion input)."""
-        return TextValueEmbeddingSet(
-            extraction=self.extraction,
-            matrix=self.matrix(),
-            name=self.artifact,
-        )
-
-    def query_decorated(
-        self, queries: np.ndarray, k: int, category: str | None
-    ) -> list[list[tuple[str, str, float]]]:
-        """Top-k as decorated ``(category, text, score)`` triples.
-
-        Decoration happens *here*, against this replica's extraction at
-        exactly the version it answered with — the front never maps ids
-        through a catalog that may have moved past this replica.
-        """
-        ids, scores = self.query(queries, k, category)
-        records = self.extraction.records
-        results: list[list[tuple[str, str, float]]] = []
-        for row in range(queries.shape[0]):
-            triples: list[tuple[str, str, float]] = []
-            for global_id, score in zip(ids[row], scores[row]):
-                if not np.isfinite(score):
-                    continue
-                record = records[int(global_id)]
-                triples.append((record.category, record.text, float(score)))
-            results.append(triples)
-        return results
-
-
-# --------------------------------------------------------------------- #
-# worker processes
-# --------------------------------------------------------------------- #
-def _make_primary_runtime(
-    store: EmbeddingStore, artifact: str, database, retrofitter,
-    solve_iterations,
-) -> ServingRuntime:
-    """A write-side runtime whose publications land in the store's log."""
-
-    def publish(update) -> int:
-        store.append_embedding_set_delta(artifact, update)
-        return store.latest_version(artifact)
-
-    runtime = ServingRuntime(
-        database,
-        retrofitter,
-        cache_size=0,
-        solve_iterations=solve_iterations,
-        on_publish=publish,
-        log_version=store.latest_version(artifact),
-    )
-    return runtime.start()
-
-
-def _handle_apply(runtime: ServingRuntime, request_id: int, delta):
-    """Apply one delta through a primary runtime; one reply tuple out."""
-    try:
-        ticket = runtime.submit(delta)
-        version = ticket.wait()
-    except Exception as error:  # noqa: BLE001 - reported to the front
-        return (
-            "failed", request_id, f"{type(error).__name__}: {error}",
-            runtime.degraded,
-        )
-    return ("applied", request_id, int(version))
-
-
-def _primary_worker(
-    store_root: str,
-    artifact: str,
-    database,
-    retrofitter,
-    solve_iterations,
-    conn,
-    parent_pid: int,
-) -> None:
-    """The write path: a :class:`ServingRuntime` publishing to the log."""
-    try:
-        store = EmbeddingStore(store_root)
-        runtime = _make_primary_runtime(
-            store, artifact, database, retrofitter, solve_iterations
-        )
-    except BaseException as error:  # noqa: BLE001 - reported to the front
-        try:
-            conn.send(("init-failed", f"{type(error).__name__}: {error}"))
-        finally:
-            conn.close()
-        return
-    conn.send(("ready", int(runtime.log_version or 0)))
-    while True:
-        if not conn.poll(_POLL_INTERVAL):
-            if os.getppid() != parent_pid:
-                return  # orphaned: the front died without a clean stop
-            continue
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            return
-        command = message[0]
-        if command == "stop":
-            runtime.stop(flush=False, timeout=5.0)
-            return
-        try:
-            if command == "apply":
-                _, request_id, delta = message
-                conn.send(_handle_apply(runtime, request_id, delta))
-            elif command == "ping":
-                _, request_id = message
-                conn.send(("pong", request_id, int(runtime.log_version or 0)))
-            else:
-                conn.send(("error", message[1], f"unknown command {command!r}"))
-        except BaseException as error:  # noqa: BLE001 - reply, don't die
-            conn.send(("error", message[1], f"{type(error).__name__}: {error}"))
-
-
-def _follower_worker(
-    replica_id: int,
-    store_root: str,
-    artifact: str,
-    metric: str,
-    conn,
-    parent_pid: int,
-    tail_interval: float,
-    retrofitter_factory,
-    solve_iterations,
-) -> None:
-    """Follower main loop: tail the log, answer reads, accept promotion.
-
-    Idle cycles tail the log every ``tail_interval`` seconds so
-    replication lag stays bounded even with no queries arriving.  After a
-    ``promote`` message the follower *also* runs a primary runtime (built
-    from its replayed embeddings plus the shipped database mirror) and
-    drains ``apply`` commands — it keeps serving reads throughout.
-    """
-    try:
-        store = EmbeddingStore(store_root)
-        state = _FollowerState(store, artifact, metric)
-    except BaseException as error:  # noqa: BLE001 - reported to the front
-        try:
-            conn.send(("init-failed", f"{type(error).__name__}: {error}"))
-        finally:
-            conn.close()
-        return
-    conn.send(("ready", state.version))
-    runtime: ServingRuntime | None = None
-    last_tail = time.monotonic()
-    while True:
-        # tail *before* polling, every iteration: a continuous command
-        # stream (health pings, a busy read front) must never starve
-        # replication — the tail budget is checked even when a command
-        # is already waiting
-        if time.monotonic() - last_tail >= tail_interval:
-            try:
-                state.sync_to_latest()
-            except StoreFormatError:
-                pass  # a half-committed append; the next tick retries
-            last_tail = time.monotonic()
-        if not conn.poll(min(_POLL_INTERVAL, tail_interval)):
-            if os.getppid() != parent_pid:
-                return
-            continue
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            return
-        command = message[0]
-        if command == "stop":
-            if runtime is not None:
-                runtime.stop(flush=False, timeout=5.0)
-            return
-        try:
-            if command == "query":
-                _, request_id, queries, k, category, min_version = message
-                if min_version is not None and state.version < min_version:
-                    state.sync_to_latest()
-                results = state.query_decorated(queries, int(k), category)
-                conn.send(("result", request_id, state.version, results))
-            elif command == "ping":
-                _, request_id = message
-                conn.send(("pong", request_id, state.version))
-            elif command == "sync":
-                _, request_id = message
-                state.sync_to_latest()
-                conn.send(("synced", request_id, state.version))
-            elif command == "dump":
-                _, request_id = message
-                conn.send(("state", request_id, state.version, state.matrix()))
-            elif command == "promote":
-                _, request_id, database = message
-                if retrofitter_factory is None:
-                    conn.send(
-                        ("error", request_id,
-                         "replica lacks a retrofitter factory")
-                    )
-                    continue
-                # catch up first: the promoted primary's model must start
-                # exactly where the log ends, or its next publication
-                # would diverge from what followers replay
-                state.sync_to_latest()
-                runtime = _make_primary_runtime(
-                    store, artifact, database,
-                    retrofitter_factory(state.embeddings()), solve_iterations,
-                )
-                conn.send(("promoted", request_id, state.version))
-            elif command == "apply":
-                _, request_id, delta = message
-                if runtime is None:
-                    conn.send(
-                        ("failed", request_id,
-                         "replica is a follower, not the primary", False)
-                    )
-                    continue
-                conn.send(_handle_apply(runtime, request_id, delta))
-            else:
-                conn.send(("error", message[1], f"unknown command {command!r}"))
-        except BaseException as error:  # noqa: BLE001 - reply, don't die
-            conn.send(("error", message[1], f"{type(error).__name__}: {error}"))
-
-
-# --------------------------------------------------------------------- #
-# the front
-# --------------------------------------------------------------------- #
-class _ReplicaHandle:
-    """The front's view of one replica process: pipe, role, position."""
-
-    def __init__(self, replica_id: int, role: str) -> None:
-        self.replica_id = replica_id
-        self.role = role  # "follower" or "primary"
-        self.process = None
-        self.conn = None
-        self.lock = threading.Lock()
-        self.alive = False
-        self.respawning = False
-        self.version = 0  # last position learned from a reply/heartbeat
-        self.missed_heartbeats = 0
-        self._next_request = 0
-
-    def next_request_id(self) -> int:
-        self._next_request += 1
-        return self._next_request
-
-
-@dataclass(frozen=True)
-class ReplicatedTierStats:
-    """Counters of one :class:`ReplicatedServingTier`."""
-
-    n_replicas: int
-    live_followers: int
-    log_version: int
-    min_follower_version: int
-    max_follower_version: int
-    queries: int
-    degraded_queries: int
-    follower_respawns: int
-    failovers: int
-    last_failover_seconds: float | None
-    writes_submitted: int
-    writes_applied: int
-    write_failures: int
-    writes_rate_limited: int
-
-
-class ReplicatedServingTier:
+class ReplicatedServingTier(ServingTier):
     """Primary/follower serving over the store's delta log.
 
-    The tier serves one ``embedding_set`` artifact.  :meth:`start` forks
-    ``n_replicas`` follower processes (full-corpus read replicas tailing
-    the log) and — when ``database``/``retrofitter`` are given — one
-    primary process owning them (the caller must not touch either
-    afterwards).  Reads go through :meth:`topk`/:meth:`topk_batch` and
-    are load-balanced round-robin across live followers; pass
-    ``min_version`` (a resolved :attr:`UpdateTicket.version`) for
-    read-your-writes.  Writes go through :meth:`submit` → write-ahead
-    :class:`DeltaQueue` → the primary, whose runtime publishes each
-    applied update to the log before the ticket resolves.
+    :meth:`start` forks ``n_replicas`` follower processes (full-corpus
+    read replicas tailing the log) and — when ``database``/``retrofitter``
+    are given — one primary process owning them (the caller must not
+    touch either afterwards).  Reads are load-balanced round-robin across
+    live followers; pass ``min_version`` (a resolved
+    :attr:`UpdateTicket.version`) for read-your-writes.  Writes go
+    through :meth:`submit` → write-ahead queue → the primary.
 
     ``retrofitter_factory`` — a picklable/fork-inheritable callable
-    ``embeddings -> IncrementalRetrofitter`` — arms failover: when the
-    primary dies, the most-caught-up follower is promoted with the
-    front's database mirror and writes resume.  Without it the tier
-    still detects the death and keeps serving reads, but writes fail.
+    ``embeddings -> IncrementalRetrofitter`` — arms failover.  Without it
+    the tier still detects a dead primary and keeps serving reads, but
+    writes fail.
     """
+
+    _kind = "replicated"
 
     def __init__(
         self,
@@ -470,901 +102,14 @@ class ReplicatedServingTier:
         heartbeat_misses: int = 4,
         tail_interval: float = 0.05,
     ) -> None:
-        if n_replicas < 1:
-            raise ServingError("n_replicas must be at least 1")
-        if (database is None) != (retrofitter is None):
-            raise ServingError(
-                "writer side needs both database and retrofitter (or neither)"
-            )
-        self._store_root = str(store_root)
-        self._store = EmbeddingStore(store_root)
-        self._artifact = artifact
+        super().__init__(
+            store_root, artifact, partitions=1, replicas=n_replicas,
+            database=database, retrofitter=retrofitter,
+            retrofitter_factory=retrofitter_factory, metric=metric,
+            solve_iterations=solve_iterations, queue_capacity=queue_capacity,
+            coalesce=coalesce, max_coalesced_ops=max_coalesced_ops,
+            write_rate_limit=write_rate_limit, query_timeout=query_timeout,
+            heartbeat_interval=heartbeat_interval,
+            heartbeat_misses=heartbeat_misses, tail_interval=tail_interval,
+        )
         self.n_replicas = int(n_replicas)
-        self._metric = metric
-        self._database = database  # the front's mirror after start()
-        self._retrofitter = retrofitter
-        self._retrofitter_factory = retrofitter_factory
-        self._solve_iterations = solve_iterations
-        self._query_timeout = float(query_timeout)
-        self._rate_limit = write_rate_limit
-        self._heartbeat_interval = float(heartbeat_interval)
-        self._heartbeat_misses = int(heartbeat_misses)
-        self._tail_interval = float(tail_interval)
-        self._context = multiprocessing.get_context("fork")
-
-        self._replicas = [
-            _ReplicaHandle(i, "follower") for i in range(self.n_replicas)
-        ]
-        self._next_replica_id = self.n_replicas
-        self._primary: _ReplicaHandle | None = None
-        self._queue = (
-            DeltaQueue(
-                capacity=queue_capacity,
-                coalesce=coalesce,
-                max_coalesced_ops=max_coalesced_ops,
-            )
-            if retrofitter is not None
-            else None
-        )
-        self._writer_thread: threading.Thread | None = None
-        self._heartbeat_thread: threading.Thread | None = None
-        self._heartbeat_stop = threading.Event()
-        self._abandon = False
-        self._write_degraded: str | None = None
-        self._progress = threading.Condition()
-        self._done_seq = -1
-
-        # the database mirror and failover are shared between the writer
-        # and heartbeat threads; reads only need the per-handle locks
-        self._db_lock = threading.Lock()
-        self._failover_lock = threading.Lock()
-        self._lifecycle_lock = threading.Lock()
-        self._started = False
-        self._stopped = False
-        self._version = 0  # newest log version a resolved ticket reflects
-        self._catalog = None  # extraction metadata for category listing
-        self._catalog_version = 0
-        self._dimension: int | None = None
-        self._rr_counter = 0
-
-        self._n_queries = 0
-        self._n_degraded = 0
-        self._n_respawns = 0
-        self._n_failovers = 0
-        self._last_failover_seconds: float | None = None
-        self._writes_applied = 0
-        self._write_failures = 0
-        self._rate_limited = 0
-        self._events = EventLog("replicated")
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    def start(self) -> "ReplicatedServingTier":
-        """Fork the followers (and the primary); idempotent."""
-        if self._started:
-            return self
-        if self._stopped:
-            raise ServingError("cannot restart a stopped replicated tier")
-        # extract the mmap sidecar once, before forking: N followers
-        # racing the first extraction would each decompress the archive
-        matrix = self._store.open_matrix_readonly(self._artifact)
-        self._dimension = int(matrix.shape[1])
-        base, version = self._store.load_embedding_set_readonly(self._artifact)
-        self._catalog = base.extraction
-        self._catalog_version = version
-        self._sync_catalog(self._store.latest_version(self._artifact))
-        self._version = self._catalog_version
-        for handle in self._replicas:
-            self._spawn_follower(handle)
-        for handle in self._replicas:
-            self._await_ready(handle)
-        if self._retrofitter is not None:
-            self._primary = self._spawn_primary()
-            self._await_ready(self._primary)
-            self._version = max(self._version, self._primary.version)
-            self._writer_thread = threading.Thread(
-                target=self._writer_loop, name="replicated-writer", daemon=True
-            )
-            self._writer_thread.start()
-        self._heartbeat_thread = threading.Thread(
-            target=self._heartbeat_loop, name="replica-heartbeat", daemon=True
-        )
-        self._heartbeat_thread.start()
-        self._started = True
-        return self
-
-    def _spawn_follower(self, handle: _ReplicaHandle) -> None:
-        parent, child = self._context.Pipe()
-        handle.conn = parent
-        handle.process = self._context.Process(
-            target=_follower_worker,
-            args=(
-                handle.replica_id, self._store_root, self._artifact,
-                self._metric, child, os.getpid(), self._tail_interval,
-                self._retrofitter_factory, self._solve_iterations,
-            ),
-            daemon=True,
-            name=f"replica-follower-{handle.replica_id}",
-        )
-        handle.process.start()
-        child.close()
-
-    def _spawn_primary(self) -> _ReplicaHandle:
-        handle = _ReplicaHandle(-1, "primary")
-        parent, child = self._context.Pipe()
-        handle.conn = parent
-        handle.process = self._context.Process(
-            target=_primary_worker,
-            args=(
-                self._store_root, self._artifact, self._database,
-                self._retrofitter, self._solve_iterations, child, os.getpid(),
-            ),
-            daemon=True,
-            name="replica-primary",
-        )
-        handle.process.start()
-        child.close()
-        return handle
-
-    def _await_ready(self, handle: _ReplicaHandle) -> None:
-        if not handle.conn.poll(self._query_timeout):
-            raise ServingError(
-                f"replica {handle.replica_id} ({handle.role}) did not come "
-                f"up within {self._query_timeout}s"
-            )
-        message = handle.conn.recv()
-        if message[0] != "ready":
-            raise ServingError(
-                f"replica {handle.replica_id} ({handle.role}) failed to "
-                f"initialise: {message[-1]}"
-            )
-        handle.version = int(message[1])
-        handle.alive = True
-
-    def stop(self, flush: bool = True, timeout: float | None = 30.0) -> None:
-        """Stop the heartbeat, writer and every replica process."""
-        if not self._started or self._stopped:
-            self._stopped = True
-            return
-        self._heartbeat_stop.set()
-        if self._heartbeat_thread is not None:
-            self._heartbeat_thread.join(timeout)
-        if self._queue is not None:
-            if flush and self._write_degraded is None:
-                try:
-                    self.flush(timeout=timeout)
-                except ServingError:
-                    pass  # failing writes must not wedge shutdown
-            self._abandon = not flush
-            self._queue.close()
-            if self._writer_thread is not None:
-                self._writer_thread.join(timeout)
-            error = ServingError(
-                "replicated tier stopped before applying the delta"
-            )
-            for ticket in self._queue.drain_tickets():
-                ticket._fail(error)
-        self._stopped = True
-        handles = list(self._replicas)
-        if self._primary is not None and self._primary not in handles:
-            handles.append(self._primary)
-        for handle in handles:
-            if handle.conn is not None:
-                self._send_quietly(handle.conn, ("stop",))
-        for handle in handles:
-            if handle.process is not None:
-                handle.process.join(timeout)
-                if handle.process.is_alive():
-                    handle.process.terminate()
-                    handle.process.join(5.0)
-            if handle.conn is not None:
-                handle.conn.close()
-            handle.alive = False
-
-    @staticmethod
-    def _send_quietly(conn, message) -> None:
-        try:
-            conn.send(message)
-        except (BrokenPipeError, OSError):
-            pass
-
-    def __enter__(self) -> "ReplicatedServingTier":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop(flush=exc_type is None)
-
-    # ------------------------------------------------------------------ #
-    # request/response plumbing
-    # ------------------------------------------------------------------ #
-    def _exchange(
-        self, handle: _ReplicaHandle, payload: tuple, timeout: float | None,
-    ):
-        """One paired request/response on a replica's pipe.
-
-        ``payload`` is ``(command, *args)``; a request id is threaded in
-        at position 1 and verified on the reply.  ``timeout=None`` waits
-        as long as the process stays alive (the apply path runs a full
-        solver pass).  Pipe death raises :class:`EOFError` — callers
-        decide between respawn (follower) and failover (primary).
-        """
-        request_id = handle.next_request_id()
-        message = (payload[0], request_id, *payload[1:])
-        deadline = (
-            None if timeout is None else time.perf_counter() + timeout
-        )
-        with handle.lock:
-            handle.conn.send(message)
-            while not handle.conn.poll(_POLL_INTERVAL):
-                if not handle.process.is_alive():
-                    raise EOFError("replica process exited")
-                if deadline is not None and time.perf_counter() >= deadline:
-                    raise ServingError(
-                        f"replica {handle.replica_id} ({handle.role}) did "
-                        f"not answer {payload[0]!r} within {timeout}s"
-                    )
-            reply = handle.conn.recv()
-        if reply[0] == "error":
-            raise ServingError(
-                f"replica {handle.replica_id} rejected {payload[0]!r}: "
-                f"{reply[2]}"
-            )
-        if reply[1] != request_id:
-            raise EOFError("response pairing broken")
-        return reply
-
-    def _note_replica_death(self, handle: _ReplicaHandle) -> None:
-        """A replica stopped answering: respawn followers, note primaries.
-
-        The primary is *not* respawned here — its database/retrofitter
-        died with it; :meth:`_ensure_primary` promotes a follower instead.
-        """
-        handle.alive = False
-        self._events.emit(
-            "replica_dead",
-            replica=handle.replica_id,
-            role=handle.role,
-            reason="pipe broken or heartbeat lost",
-        )
-        if handle.role != "follower":
-            return
-        with self._lifecycle_lock:
-            if handle.respawning or self._stopped:
-                return
-            handle.respawning = True
-        self._n_respawns += 1
-        threading.Thread(
-            target=self._respawn_follower, args=(handle,),
-            name=f"replica-respawn-{handle.replica_id}", daemon=True,
-        ).start()
-
-    def _spawn_follower_once(self, handle: _ReplicaHandle) -> None:
-        """One respawn attempt (retried by :data:`_RESPAWN_RETRY`)."""
-        if faults.should_fail_spawn("repl.respawn"):
-            raise ServingError(
-                f"injected spawn failure for replica {handle.replica_id}"
-            )
-        self._spawn_follower(handle)
-        self._await_ready(handle)
-
-    def _respawn_follower(self, handle: _ReplicaHandle) -> None:
-        try:
-            if handle.process is not None:
-                handle.process.join(timeout=5.0)
-                if handle.process.is_alive():
-                    handle.process.terminate()
-                    handle.process.join(5.0)
-            if handle.conn is not None:
-                handle.conn.close()
-            _RESPAWN_RETRY.call(
-                lambda: self._spawn_follower_once(handle),
-                retry_on=(ServingError, OSError),
-                on_retry=lambda attempt, error, delay: self._events.emit(
-                    "follower_respawn_retry",
-                    replica=handle.replica_id,
-                    attempt=attempt + 1,
-                    reason=str(error),
-                    backoff_s=round(delay, 4),
-                ),
-            )
-            handle.missed_heartbeats = 0
-            self._events.emit("follower_respawned", replica=handle.replica_id)
-        except Exception as error:
-            handle.alive = False  # stays degraded; the next crash retries
-            self._events.emit(
-                "follower_respawn_failed",
-                replica=handle.replica_id,
-                reason=str(error),
-            )
-        finally:
-            with self._lifecycle_lock:
-                handle.respawning = False
-
-    def _terminate_replica(self, handle: _ReplicaHandle) -> None:
-        handle.alive = False
-        if handle.process is not None and handle.process.is_alive():
-            handle.process.terminate()
-            handle.process.join(5.0)
-
-    # ------------------------------------------------------------------ #
-    # heartbeats and failover
-    # ------------------------------------------------------------------ #
-    def _heartbeat_loop(self) -> None:
-        while not self._heartbeat_stop.wait(self._heartbeat_interval):
-            handles = list(self._replicas)
-            primary = self._primary
-            if primary is not None and primary not in handles:
-                handles.append(primary)
-            for handle in handles:
-                if self._stopped:
-                    return
-                if handle.respawning or not handle.alive:
-                    continue
-                if handle.process is None or not handle.process.is_alive():
-                    self._on_heartbeat_death(handle)
-                    continue
-                # don't queue a ping behind a long exchange (apply/query):
-                # a busy pipe with a live process is not a dead replica
-                if not handle.lock.acquire(timeout=0.02):
-                    continue
-                handle.lock.release()
-                if faults.should_drop("repl.heartbeat"):
-                    # injected: the ping is lost in flight — a miss, not
-                    # proof of death; only repeated losses fail the node
-                    handle.missed_heartbeats += 1
-                    if handle.missed_heartbeats >= self._heartbeat_misses:
-                        self._on_heartbeat_death(handle)
-                    continue
-                try:
-                    reply = self._exchange(
-                        handle, ("ping",), timeout=self._heartbeat_interval
-                    )
-                except (BrokenPipeError, EOFError, OSError):
-                    self._on_heartbeat_death(handle)
-                    continue
-                except ServingError:
-                    handle.missed_heartbeats += 1
-                    if handle.missed_heartbeats >= self._heartbeat_misses:
-                        self._on_heartbeat_death(handle)
-                    continue
-                handle.missed_heartbeats = 0
-                handle.version = max(handle.version, int(reply[2]))
-
-    def _on_heartbeat_death(self, handle: _ReplicaHandle) -> None:
-        was_primary = handle.role == "primary"
-        self._note_replica_death(handle)
-        if was_primary and not self._stopped:
-            # promote proactively — failover time must not wait for the
-            # next write to arrive and find the primary gone
-            try:
-                self._ensure_primary()
-            except ServingError:
-                pass  # recorded via _write_degraded; reads keep working
-
-    def _ensure_primary(self) -> _ReplicaHandle:
-        """The live primary, promoting the most-caught-up follower if dead.
-
-        Idempotent and serialised: concurrent detection by the writer and
-        heartbeat threads performs one promotion.  Raises
-        :class:`ServingError` when no promotable follower exists.
-        """
-        with self._failover_lock:
-            primary = self._primary
-            if (
-                primary is not None and primary.alive
-                and primary.process is not None and primary.process.is_alive()
-            ):
-                return primary
-            if self._queue is None:
-                raise ServingError("this tier has no writer side")
-            if self._retrofitter_factory is None:
-                message = (
-                    "primary died and no retrofitter_factory was configured "
-                    "— cannot promote a follower"
-                )
-                self._write_degraded = message
-                raise ServingError(message)
-            started = time.perf_counter()
-            if primary is not None:
-                self._terminate_replica(primary)
-            # elect the most-caught-up follower (freshest announced
-            # version; ties broken by lowest id for determinism)
-            candidates = []
-            for handle in self._replicas:
-                if not handle.alive or handle.respawning:
-                    continue
-                try:
-                    reply = self._exchange(handle, ("ping",), timeout=5.0)
-                except (BrokenPipeError, EOFError, OSError, ServingError):
-                    self._note_replica_death(handle)
-                    continue
-                handle.version = max(handle.version, int(reply[2]))
-                candidates.append(handle)
-            if not candidates:
-                message = "primary died and no live follower is promotable"
-                self._write_degraded = message
-                self._events.emit("write_degraded", reason=message)
-                raise ServingError(message)
-            elected = max(
-                candidates, key=lambda h: (h.version, -h.replica_id)
-            )
-            # ship the database mirror: it reflects exactly the acked
-            # deltas, which is exactly what the log contains — the
-            # promoted runtime starts aligned with both
-            with self._db_lock:
-                try:
-                    faults.fire("repl.promote", "before")
-                    reply = self._exchange(
-                        elected, ("promote", self._database),
-                        timeout=_PROMOTE_TIMEOUT,
-                    )
-                except (
-                    BrokenPipeError,
-                    EOFError,
-                    OSError,
-                    faults.FaultInjected,
-                ) as error:
-                    self._note_replica_death(elected)
-                    message = f"promotion of follower failed: {error!r}"
-                    self._write_degraded = message
-                    self._events.emit("write_degraded", reason=message)
-                    raise ServingError(message) from None
-            elected.role = "primary"
-            elected.version = max(elected.version, int(reply[2]))
-            self._primary = elected
-            self._n_failovers += 1
-            self._last_failover_seconds = time.perf_counter() - started
-            self._events.emit(
-                "promoted",
-                replica=elected.replica_id,
-                version=elected.version,
-                reason="primary dead; most-caught-up follower elected",
-                failover_s=round(self._last_failover_seconds, 4),
-            )
-            # restore read fan-out: the promoted node keeps serving reads,
-            # but a replacement follower brings the pool back to strength
-            replacement = _ReplicaHandle(self._next_replica_id, "follower")
-            self._next_replica_id += 1
-            self._replicas.append(replacement)
-            replacement.respawning = True
-            self._n_respawns += 1
-            threading.Thread(
-                target=self._respawn_follower, args=(replacement,),
-                name=f"replica-respawn-{replacement.replica_id}", daemon=True,
-            ).start()
-            return elected
-
-    # ------------------------------------------------------------------ #
-    # writer side
-    # ------------------------------------------------------------------ #
-    def submit(
-        self,
-        delta,
-        timeout: float | None = None,
-        submission_id: str | None = None,
-    ) -> UpdateTicket:
-        """Queue a delta for the primary; returns its ticket.
-
-        Admission mirrors the sharded tier: the rate limiter rejects
-        sustained over-budget traffic before the delta occupies queue
-        capacity, and the bounded queue blocks when the primary falls
-        behind.  The resolved :attr:`UpdateTicket.version` is the store
-        *log* version the update published at — pass it as
-        ``min_version`` to :meth:`topk` for read-your-writes.
-        """
-        if self._queue is None:
-            raise ServingError("this tier has no writer side (no retrofitter)")
-        if self._write_degraded is not None:
-            raise WriteDegradedError(
-                f"replicated tier is write-degraded: {self._write_degraded}"
-            )
-        if not self._started or self._stopped:
-            raise ServingError("replicated tier is not running — call start()")
-        if self._rate_limit is not None and not self._rate_limit.acquire(
-            timeout=timeout
-        ):
-            self._rate_limited += 1
-            raise BackpressureError(
-                "write admission rejected: rate limit exceeded "
-                f"({self._rate_limit.rate_per_second:.3g}/s)",
-                retry_after=1.0 / self._rate_limit.rate_per_second,
-            )
-        return self._queue.submit(
-            delta, timeout=timeout, submission_id=submission_id
-        )
-
-    def flush(self, timeout: float | None = None) -> None:
-        """Block until every submitted delta has been applied (or failed)."""
-        if self._queue is None:
-            return
-        target = self._queue.last_submitted_seq
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        with self._progress:
-            while self._done_seq < target:
-                if (
-                    self._writer_thread is None
-                    or not self._writer_thread.is_alive()
-                ):
-                    raise ServingError(
-                        "replicated tier writer stopped with deltas queued"
-                    )
-                remaining = (
-                    None if deadline is None else deadline - time.perf_counter()
-                )
-                if remaining is not None and remaining <= 0:
-                    raise ServingError(f"flush timed out after {timeout}s")
-                self._progress.wait(
-                    0.1 if remaining is None else min(remaining, 0.1)
-                )
-
-    def _writer_loop(self) -> None:
-        while not self._abandon:
-            batch = self._queue.pop(timeout=0.1)
-            if batch is None:
-                if self._queue.closed and len(self._queue) == 0:
-                    return
-                continue
-            self._apply_batch(batch)
-
-    def _apply_batch(self, batch) -> None:
-        now = time.perf_counter()
-        if batch.delta.is_empty():
-            for ticket in batch.tickets:
-                ticket._complete(self._version, now)
-            self._mark_done(batch)
-            return
-        if self._write_degraded is not None:
-            self._fail_batch(batch, ServingError(self._write_degraded))
-            return
-        for attempt in (0, 1):
-            try:
-                primary = self._ensure_primary()
-            except ServingError as error:
-                self._fail_batch(batch, error)
-                return
-            # the log decides an in-flight write's fate: the tier is the
-            # single writer, so any version past this one is *our* delta
-            pre_version = self._store.latest_version(self._artifact)
-            try:
-                reply = self._exchange(
-                    primary, ("apply", batch.delta), timeout=None
-                )
-            except (BrokenPipeError, EOFError, OSError):
-                self._note_replica_death(primary)
-                landed = self._store.latest_version(self._artifact)
-                if landed > pre_version:
-                    # the append committed before the crash — the write
-                    # is durable and every follower will replay it
-                    self._complete_batch(batch, landed)
-                    return
-                continue  # provably not in the log: retry once, promoted
-            if reply[0] == "applied":
-                self._complete_batch(batch, int(reply[2]))
-                return
-            _, _, message, degraded = reply
-            if degraded:
-                # the primary's private database diverged from the log;
-                # the front's mirror holds only acked deltas, so killing
-                # the primary and promoting a follower restores a
-                # consistent writer — this batch still fails (it was
-                # rejected), but the *next* write goes through
-                self._terminate_replica(primary)
-                self._note_replica_death(primary)
-            self._fail_batch(batch, ServingError(message))
-            return
-        self._fail_batch(
-            batch,
-            ServingError("primary died twice while applying one delta"),
-        )
-
-    def _complete_batch(self, batch, version: int) -> None:
-        # mirror the acked delta into the front's database copy *before*
-        # tickets resolve: a failover triggered after this write must
-        # ship a mirror that includes it
-        with self._db_lock:
-            if self._database is not None:
-                batch.delta.apply_to(self._database)
-        self._version = max(self._version, version)
-        now = time.perf_counter()
-        for ticket in batch.tickets:
-            ticket._complete(version, now)
-        self._writes_applied += 1
-        self._mark_done(batch)
-
-    def _fail_batch(self, batch, error: BaseException) -> None:
-        self._write_failures += 1
-        for ticket in batch.tickets:
-            ticket._fail(error)
-        self._mark_done(batch)
-
-    def _mark_done(self, batch) -> None:
-        with self._progress:
-            self._done_seq = max(
-                self._done_seq, max(t.seq for t in batch.tickets)
-            )
-            self._progress.notify_all()
-
-    # ------------------------------------------------------------------ #
-    # reader side
-    # ------------------------------------------------------------------ #
-    @property
-    def dimension(self) -> int:
-        """Dimensionality of the served vectors."""
-        if self._dimension is None:
-            raise ServingError("replicated tier is not running — call start()")
-        return self._dimension
-
-    @property
-    def published_version(self) -> int:
-        """Newest log version a resolved ticket reflects."""
-        return self._version
-
-    @property
-    def categories(self) -> list[str]:
-        """All servable categories at the front's current catalog."""
-        if self._catalog is None:
-            raise ServingError("replicated tier is not running — call start()")
-        return list(self._catalog.categories)
-
-    def topk(
-        self,
-        vector: np.ndarray,
-        k: int = 10,
-        category: str | None = None,
-        min_version: int | None = None,
-    ) -> list[tuple[str, str, float]]:
-        """Top-``k`` triples for one query from some live follower.
-
-        ``min_version`` is the read-your-writes knob: pass a resolved
-        :attr:`UpdateTicket.version` and the answering replica is
-        guaranteed at-or-past that log position (routing prefers replicas
-        already there; a lagging one replays the log before answering).
-        """
-        vector = np.asarray(vector, dtype=np.float64)
-        if vector.ndim != 1:
-            raise ServingError("topk expects a single query vector")
-        return self.topk_batch(
-            vector[None, :], k, category=category, min_version=min_version
-        )[0]
-
-    def topk_batch(
-        self,
-        vectors,
-        k: int = 10,
-        category: str | None = None,
-        min_version: int | None = None,
-    ) -> list[list[tuple[str, str, float]]]:
-        """Batched top-k from one replica (see :meth:`topk`)."""
-        return self.topk_batch_versioned(
-            vectors, k, category=category, min_version=min_version
-        )[1]
-
-    def topk_batch_versioned(
-        self,
-        vectors,
-        k: int = 10,
-        category: str | None = None,
-        min_version: int | None = None,
-    ) -> tuple[int, list[list[tuple[str, str, float]]]]:
-        """``(answered_version, results)`` — the HTTP front reports both."""
-        queries = np.asarray(vectors, dtype=np.float64)
-        if queries.ndim != 2:
-            raise ServingError("topk_batch expects a (batch, dimension) matrix")
-        if self._dimension is not None and queries.shape[1] != self._dimension:
-            raise ServingError(
-                f"query batch has shape {queries.shape}, expected "
-                f"(batch, {self._dimension})"
-            )
-        if not self._started or self._stopped:
-            raise ServingError("replicated tier is not running — call start()")
-        if category is not None and category not in self._catalog.categories:
-            # the category may have been added by a delta the lazy front
-            # catalog has not replayed yet — sync before rejecting
-            self._sync_catalog(self._store.latest_version(self._artifact))
-            if category not in self._catalog.categories:
-                raise ExtractionError(f"unknown category {category!r}")
-        self._n_queries += 1
-        attempts = max(1, len(self._replicas))
-        for _ in range(attempts):
-            handle = self._pick_replica(min_version)
-            try:
-                reply = self._exchange(
-                    handle,
-                    ("query", queries, int(k), category, min_version),
-                    timeout=self._query_timeout,
-                )
-            except (BrokenPipeError, EOFError, OSError):
-                self._n_degraded += 1
-                self._note_replica_death(handle)
-                continue  # an alternative replica can still answer
-            version = int(reply[2])
-            handle.version = max(handle.version, version)
-            return version, reply[3]
-        raise ServingError("no follower replica answered the query")
-
-    def _pick_replica(self, min_version: int | None) -> _ReplicaHandle:
-        """Round-robin over live followers, preferring caught-up ones.
-
-        With ``min_version`` set, replicas already at-or-past it are
-        preferred so read-your-writes rarely pays replay latency; when
-        every replica lags, any live one is chosen and the worker replays
-        the log before answering (correctness never depends on the
-        heartbeat's freshness).
-        """
-        alive = [
-            h for h in self._replicas if h.alive and h.conn is not None
-        ]
-        if not alive:
-            raise ServingError("every follower replica is down")
-        if min_version is not None:
-            caught_up = [h for h in alive if h.version >= min_version]
-            if caught_up:
-                alive = caught_up
-        self._rr_counter += 1
-        return alive[self._rr_counter % len(alive)]
-
-    def _sync_catalog(self, version: int) -> None:
-        while self._catalog_version < version:
-            try:
-                record = self._store.read_embedding_set_delta(
-                    self._artifact, self._catalog_version + 1
-                )
-            except StoreFormatError:
-                # compacted past the front's lazy catalog: reload the base
-                base, base_version = self._store.load_embedding_set_readonly(
-                    self._artifact
-                )
-                if base_version <= self._catalog_version:
-                    raise
-                self._catalog = base.extraction
-                self._catalog_version = base_version
-                continue
-            self._catalog.apply_delta(record.extraction_delta)
-            self._catalog_version = record.version
-
-    # ------------------------------------------------------------------ #
-    # maintenance / introspection
-    # ------------------------------------------------------------------ #
-    def sync_replicas(self, timeout: float | None = None) -> int:
-        """Force every live follower to replay to the store's newest
-        version; returns the minimum version the pool reached."""
-        timeout = self._query_timeout if timeout is None else timeout
-        versions = []
-        for handle in list(self._replicas):
-            if not handle.alive:
-                continue
-            try:
-                reply = self._exchange(handle, ("sync",), timeout=timeout)
-            except (BrokenPipeError, EOFError, OSError):
-                self._note_replica_death(handle)
-                continue
-            handle.version = max(handle.version, int(reply[2]))
-            versions.append(int(reply[2]))
-        if not versions:
-            raise ServingError("every follower replica is down")
-        return min(versions)
-
-    def replica_versions(self) -> dict[int, int]:
-        """Current replay position of every live follower (by ping)."""
-        positions: dict[int, int] = {}
-        for handle in list(self._replicas):
-            if not handle.alive:
-                continue
-            try:
-                reply = self._exchange(handle, ("ping",), timeout=5.0)
-            except (BrokenPipeError, EOFError, OSError, ServingError):
-                continue
-            handle.version = max(handle.version, int(reply[2]))
-            positions[handle.replica_id] = int(reply[2])
-        return positions
-
-    def replica_matrix(
-        self, replica_id: int | None = None, sync: bool = True
-    ) -> tuple[int, np.ndarray]:
-        """``(version, full matrix)`` of one follower's replayed state.
-
-        The agreement gate: tests and the benchmark compare this against
-        the serial :class:`IncrementalRetrofitter` replay.  Defaults to
-        the first live follower; ``sync`` replays to the newest version
-        first.
-        """
-        handle = None
-        for candidate in self._replicas:
-            if not candidate.alive:
-                continue
-            if replica_id is None or candidate.replica_id == replica_id:
-                handle = candidate
-                break
-        if handle is None:
-            raise ServingError(f"no live follower {replica_id!r} to dump")
-        if sync:
-            self._exchange(handle, ("sync",), timeout=self._query_timeout)
-        reply = self._exchange(handle, ("dump",), timeout=self._query_timeout)
-        return int(reply[2]), reply[3]
-
-    def compact(self) -> int:
-        """Compact the log, retaining records live followers still need.
-
-        The retention floor is the slowest live follower's announced
-        position + 1 — :meth:`EmbeddingStore.compact_embedding_set` keeps
-        every record at or past it, so no tailing follower loses a record
-        mid-replay.  (A follower that *still* falls behind — e.g. dead
-        during compaction, respawned later — recovers via the snapshot
-        fallback in :class:`_FollowerState`.)  Returns the compacted-to
-        version.
-        """
-        positions = self.replica_versions()
-        keep_from = min(positions.values()) + 1 if positions else None
-        return self._store.compact_embedding_set(
-            self._artifact, keep_from=keep_from
-        )
-
-    @property
-    def live_followers(self) -> int:
-        """Number of currently responsive follower replicas."""
-        return sum(1 for handle in self._replicas if handle.alive)
-
-    @property
-    def write_degraded(self) -> bool:
-        """Whether writes are refused (no promotable primary left)."""
-        return self._write_degraded is not None
-
-    def recent_events(self, n: int = 50) -> list[dict]:
-        """The tier's latest structured state-transition events."""
-        return self._events.tail(n)
-
-    @property
-    def failovers(self) -> int:
-        """How many times a follower was promoted to primary."""
-        return self._n_failovers
-
-    @property
-    def last_failover_seconds(self) -> float | None:
-        """Detection→promotion duration of the most recent failover."""
-        return self._last_failover_seconds
-
-    @property
-    def primary_alive(self) -> bool:
-        """Whether a live primary is currently accepting writes."""
-        primary = self._primary
-        return (
-            primary is not None and primary.alive
-            and primary.process is not None and primary.process.is_alive()
-        )
-
-    @property
-    def primary_pid(self) -> int:
-        """OS pid of the current primary process.
-
-        Chaos hooks (the benchmark's failover phase, the CI stress test)
-        SIGKILL this pid to exercise detection and promotion.
-        """
-        primary = self._primary
-        if primary is None or primary.process is None:
-            raise ServingError("replicated tier has no primary process")
-        return int(primary.process.pid)
-
-    @property
-    def stats(self) -> ReplicatedTierStats:
-        """A point-in-time snapshot of the tier's counters."""
-        queue = self._queue.stats if self._queue is not None else None
-        follower_versions = [
-            handle.version for handle in self._replicas if handle.alive
-        ]
-        return ReplicatedTierStats(
-            n_replicas=len(self._replicas),
-            live_followers=self.live_followers,
-            log_version=self._version,
-            min_follower_version=min(follower_versions, default=0),
-            max_follower_version=max(follower_versions, default=0),
-            queries=self._n_queries,
-            degraded_queries=self._n_degraded,
-            follower_respawns=self._n_respawns,
-            failovers=self._n_failovers,
-            last_failover_seconds=self._last_failover_seconds,
-            writes_submitted=queue.submitted if queue else 0,
-            writes_applied=self._writes_applied,
-            write_failures=self._write_failures,
-            writes_rate_limited=self._rate_limited,
-        )

@@ -23,6 +23,10 @@ on top:
   mutated (caught up to become the next standby) once every reader that
   could still see it has left its epoch — epoch-based reclamation of old
   index versions.
+* :class:`WritePipeline` — the one write front (rate-limited admission,
+  ordered writer thread, flush, fail/resolve, ticket drain at stop) that
+  the runtime and the multi-process
+  :class:`~repro.serving.tier.ServingTier` both run their writes through.
 * :class:`BatchedQueryFront` — gathers concurrent ``top_k`` requests
   within a small window into one matrix query against the index (the
   batched kernels make a 64-query batch barely more expensive than a
@@ -425,6 +429,180 @@ class RateLimiter:
 
 
 # --------------------------------------------------------------------- #
+# the write front
+# --------------------------------------------------------------------- #
+class WritePipeline:
+    """Admission → ordered writer thread → apply → resolve/fail.
+
+    The one write front shared by :class:`ServingRuntime` and the
+    multi-process :class:`~repro.serving.tier.ServingTier`: a
+    :class:`DeltaQueue` behind an optional :class:`RateLimiter`, drained
+    in submission order by one writer thread.  Empty batches resolve at
+    ``current_version()`` on the spot; every other batch goes to the
+    owner's ``apply_batch``, which must end it with :meth:`fail` or
+    :meth:`resolve` + :meth:`mark_done` (the runtime reclaims its
+    retired snapshot in between, so a flush also waits for that).
+    Once the owner calls :meth:`degrade` — an apply failed after the
+    database may have changed — every later batch and submission fails.
+    """
+
+    def __init__(
+        self,
+        apply_batch,
+        current_version,
+        name: str,
+        capacity: int = 64,
+        coalesce: bool = True,
+        max_coalesced_ops: int = 1024,
+        rate_limit: RateLimiter | None = None,
+    ) -> None:
+        self.queue = DeltaQueue(
+            capacity=capacity,
+            coalesce=coalesce,
+            max_coalesced_ops=max_coalesced_ops,
+        )
+        self._apply_batch = apply_batch
+        self._current_version = current_version
+        self._name = name
+        self._rate_limit = rate_limit
+        self._thread: threading.Thread | None = None
+        self._abandon = False
+        self._progress = threading.Condition()
+        self._done_seq = -1
+        self.failures = 0
+        self.rate_limited = 0
+        self.last_error: BaseException | None = None
+        self.degraded: BaseException | None = None
+
+    @property
+    def running(self) -> bool:
+        """Whether the writer thread is alive."""
+        return self._thread is not None and self._thread.is_alive()
+
+    def start(self) -> None:
+        """Start the writer thread."""
+        self._thread = threading.Thread(
+            target=self._loop, name=f"{self._name} writer", daemon=True
+        )
+        self._thread.start()
+
+    def degrade(self, error: BaseException) -> None:
+        """Refuse every later write: ``error`` broke the write path."""
+        self.degraded = error
+
+    def admit(
+        self,
+        delta: DatabaseDelta,
+        timeout: float | None = None,
+        submission_id: str | None = None,
+    ) -> UpdateTicket:
+        """Rate-limit, then queue ``delta``; returns its ticket.
+
+        The rate limiter rejects sustained over-budget traffic *before*
+        the delta occupies queue capacity; the bounded queue then blocks
+        when the writer falls behind.  Readers are never throttled.
+        """
+        if self.degraded is not None:
+            raise WriteDegradedError(
+                f"{self._name} is write-degraded (an update failed after "
+                "mutating the database; served vectors may no longer match "
+                f"it — rebuild the {self._name}): {self.degraded}"
+            )
+        if not self.running:
+            raise ServingError(f"{self._name} is not running — call start()")
+        if self._rate_limit is not None and not self._rate_limit.acquire(
+            timeout=timeout
+        ):
+            self.rate_limited += 1
+            raise BackpressureError(
+                "write admission rejected: rate limit exceeded "
+                f"({self._rate_limit.rate_per_second:.3g}/s)",
+                retry_after=1.0 / self._rate_limit.rate_per_second,
+            )
+        return self.queue.submit(
+            delta, timeout=timeout, submission_id=submission_id
+        )
+
+    def flush(self, timeout: float | None = None) -> None:
+        """Block until every delta admitted so far was applied or failed."""
+        target = self.queue.last_submitted_seq
+        deadline = None if timeout is None else time.perf_counter() + timeout
+        with self._progress:
+            while self._done_seq < target:
+                if not self.running:
+                    raise ServingError(
+                        f"{self._name} stopped with deltas still queued"
+                    )
+                remaining = (
+                    None if deadline is None else deadline - time.perf_counter()
+                )
+                if remaining is not None and remaining <= 0:
+                    raise ServingError(f"flush timed out after {timeout}s")
+                # bounded wait so a dead writer is noticed, not hung on
+                self._progress.wait(
+                    0.1 if remaining is None else min(remaining, 0.1)
+                )
+
+    def close(self, flush: bool, timeout: float | None, reason: str) -> None:
+        """Stop the writer; tickets still queued fail with ``reason``.
+
+        With ``flush`` every admitted delta lands (or fails) first — a
+        flush that fails or times out must not wedge shutdown.  Without
+        it the writer abandons the queue after its current batch.
+        """
+        if flush and self.running:
+            try:
+                self.flush(timeout)
+            except ServingError:
+                pass
+        self._abandon = not flush
+        self.queue.close()
+        if self._thread is not None:
+            self._thread.join(timeout)
+        error = ServingError(reason)
+        for ticket in self.queue.drain_tickets():
+            ticket._fail(error)
+
+    def _loop(self) -> None:
+        while not self._abandon:
+            batch = self.queue.pop(timeout=0.1)
+            if batch is None:
+                if self.queue.closed and len(self.queue) == 0:
+                    return
+                continue
+            if batch.delta.is_empty():
+                self.resolve(batch, self._current_version())
+                self.mark_done(batch)
+            elif self.degraded is not None:
+                self.fail(batch, self.degraded)
+            else:
+                self._apply_batch(batch)
+
+    @staticmethod
+    def resolve(batch: _WriteBatch, version: int) -> None:
+        """Complete every ticket of ``batch`` at ``version``."""
+        now = time.perf_counter()
+        for ticket in batch.tickets:
+            ticket._complete(version, now)
+
+    def mark_done(self, batch: _WriteBatch) -> None:
+        """Count ``batch`` as finished (wakes :meth:`flush`)."""
+        with self._progress:
+            self._done_seq = max(
+                self._done_seq, max(t.seq for t in batch.tickets)
+            )
+            self._progress.notify_all()
+
+    def fail(self, batch: _WriteBatch, error: BaseException) -> None:
+        """Fail every ticket of ``batch`` with ``error``."""
+        self.failures += 1
+        self.last_error = error
+        for ticket in batch.tickets:
+            ticket._fail(error)
+        self.mark_done(batch)
+
+
+# --------------------------------------------------------------------- #
 # epoch-based reclamation
 # --------------------------------------------------------------------- #
 class EpochRegistry:
@@ -555,7 +733,6 @@ class ServingRuntime:
         self._retrofitter = retrofitter
         self._solve_iterations = solve_iterations
         self._grace_timeout = float(grace_timeout)
-        self._rate_limit = write_rate_limit
         #: Publication hook: called with each applied
         #: :class:`~repro.retrofit.incremental.IncrementalUpdateResult`
         #: *before* the snapshot swap makes it visible — the replication
@@ -566,11 +743,16 @@ class ServingRuntime:
         #: a store artifact starts at that artifact's latest version).
         self._on_publish = on_publish
         self._log_version = log_version
-        self._queue = DeltaQueue(
+        self._writes = WritePipeline(
+            self._apply_batch,
+            self._ticket_version,
+            name="serving runtime",
             capacity=queue_capacity,
             coalesce=coalesce,
             max_coalesced_ops=max_coalesced_ops,
+            rate_limit=write_rate_limit,
         )
+        self._queue = self._writes.queue
         self._epochs = EpochRegistry()
 
         def build_session() -> ServingSession:
@@ -587,16 +769,9 @@ class ServingRuntime:
         self._published.settle_indexes()
         self._standby.settle_indexes()
 
-        self._thread: threading.Thread | None = None
-        self._abandon = False
-        self._degraded: BaseException | None = None
-        self._progress = threading.Condition()
-        self._done_seq = -1
         self._updates_published = 0
-        self._update_failures = 0
         self._snapshots_reclaimed = 0
         self._update_lags: deque[float] = deque(maxlen=4096)
-        self._last_error: BaseException | None = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -604,7 +779,7 @@ class ServingRuntime:
     @property
     def running(self) -> bool:
         """Whether the applier thread is alive."""
-        return self._thread is not None and self._thread.is_alive()
+        return self._writes.running
 
     def start(self) -> "ServingRuntime":
         """Start the background applier thread (idempotent)."""
@@ -612,23 +787,14 @@ class ServingRuntime:
             return self
         if self._queue.closed:
             raise ServingError("cannot restart a stopped runtime")
-        self._thread = threading.Thread(
-            target=self._applier_loop, name="serving-runtime-applier", daemon=True
-        )
-        self._thread.start()
+        self._writes.start()
         return self
 
     def stop(self, flush: bool = True, timeout: float | None = None) -> None:
         """Stop the applier; with ``flush`` every queued delta lands first."""
-        if flush and self.running:
-            self.flush(timeout=timeout)
-        self._abandon = not flush
-        self._queue.close()
-        if self._thread is not None:
-            self._thread.join(timeout)
-        error = ServingError("serving runtime stopped before applying the delta")
-        for ticket in self._queue.drain_tickets():
-            ticket._fail(error)
+        self._writes.close(
+            flush, timeout, "serving runtime stopped before applying the delta"
+        )
 
     def __enter__(self) -> "ServingRuntime":
         return self.start()
@@ -646,55 +812,13 @@ class ServingRuntime:
         submission_id: str | None = None,
     ) -> UpdateTicket:
         """Queue a delta for application; returns its ticket immediately."""
-        if self._degraded is not None:
-            raise WriteDegradedError(
-                "serving runtime is degraded (an update failed after "
-                "mutating the database; served vectors may no longer match "
-                "it — rebuild the runtime): "
-                f"{self._degraded}"
-            )
-        if not self.running:
-            raise ServingError("serving runtime is not running — call start()")
-        if self._rate_limit is not None and not self._rate_limit.acquire(
-            timeout=timeout
-        ):
-            raise BackpressureError(
-                "write admission rejected: rate limit exceeded "
-                f"({self._rate_limit.rate_per_second:.3g}/s)",
-                retry_after=1.0 / self._rate_limit.rate_per_second,
-            )
-        return self._queue.submit(
+        return self._writes.admit(
             delta, timeout=timeout, submission_id=submission_id
         )
 
     def flush(self, timeout: float | None = None) -> None:
         """Block until every delta submitted so far has been applied."""
-        target = self._queue.last_submitted_seq
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        with self._progress:
-            while self._done_seq < target:
-                if not self.running:
-                    raise ServingError(
-                        "serving runtime stopped with deltas still queued"
-                    )
-                remaining = (
-                    None if deadline is None else deadline - time.perf_counter()
-                )
-                if remaining is not None and remaining <= 0:
-                    raise ServingError(f"flush timed out after {timeout}s")
-                # bounded wait so a dead applier is noticed, not hung on
-                self._progress.wait(
-                    0.1 if remaining is None else min(remaining, 0.1)
-                )
-
-    def _applier_loop(self) -> None:
-        while not self._abandon:
-            batch = self._queue.pop(timeout=0.1)
-            if batch is None:
-                if self._queue.closed and len(self._queue) == 0:
-                    return
-                continue
-            self._apply_batch(batch)
+        self._writes.flush(timeout)
 
     def _ticket_version(self) -> int:
         """The version tickets resolve at: the log's when one is kept."""
@@ -703,21 +827,12 @@ class ServingRuntime:
         return self._published.version
 
     def _apply_batch(self, batch: _WriteBatch) -> None:
-        now = time.perf_counter()
-        if batch.delta.is_empty():
-            for ticket in batch.tickets:
-                ticket._complete(self._ticket_version(), now)
-            self._mark_done(batch)
-            return
-        if self._degraded is not None:
-            self._fail_batch(batch, self._degraded)
-            return
         try:
             # write-ahead validation: a delta rejected here provably left
             # the database untouched, so the runtime stays fully healthy
             batch.delta.validate_against(self._database)
         except Exception as error:
-            self._fail_batch(batch, error)
+            self._writes.fail(batch, error)
             return
         try:
             faults.fire("runtime.apply", "before")
@@ -740,9 +855,9 @@ class ServingRuntime:
             # trusted to match it.  Keep serving reads from the last good
             # snapshot, but refuse further writes instead of silently
             # applying deltas against a misaligned state.
-            self._degraded = error
+            self._writes.degrade(error)
             self._queue.close()
-            self._fail_batch(batch, error)
+            self._writes.fail(batch, error)
             return
 
         # atomic version swap: one reference assignment publishes the new
@@ -750,12 +865,8 @@ class ServingRuntime:
         retired = self._published
         self._published = self._standby
         epoch = self._epochs.advance()
-        now = time.perf_counter()
-        for ticket in batch.tickets:
-            ticket._complete(self._ticket_version(), now)
-            lag = ticket.lag_seconds
-            if lag is not None:
-                self._update_lags.append(lag)
+        self._writes.resolve(batch, self._ticket_version())
+        self._update_lags.extend(ticket.lag_seconds for ticket in batch.tickets)
         self._updates_published += 1
 
         # epoch-based reclamation: only mutate the retired snapshot once
@@ -768,27 +879,13 @@ class ServingRuntime:
             # the retrofitter's (current) embeddings
             self._standby = self._build_session()
             self._standby.settle_indexes()
-            self._mark_done(batch)
+            self._writes.mark_done(batch)
             return
         retired.apply_update(update)
         retired.settle_indexes()
         self._standby = retired
         self._snapshots_reclaimed += 1
-        self._mark_done(batch)
-
-    def _fail_batch(self, batch: _WriteBatch, error: BaseException) -> None:
-        self._update_failures += 1
-        self._last_error = error
-        for ticket in batch.tickets:
-            ticket._fail(error)
-        self._mark_done(batch)
-
-    def _mark_done(self, batch: _WriteBatch) -> None:
-        with self._progress:
-            self._done_seq = max(
-                self._done_seq, max(t.seq for t in batch.tickets)
-            )
-            self._progress.notify_all()
+        self._writes.mark_done(batch)
 
     # ------------------------------------------------------------------ #
     # reader side
@@ -845,7 +942,7 @@ class ServingRuntime:
     @property
     def last_error(self) -> BaseException | None:
         """The most recent pipeline failure, if any."""
-        return self._last_error
+        return self._writes.last_error
 
     @property
     def degraded(self) -> bool:
@@ -856,12 +953,7 @@ class ServingRuntime:
         vectors can no longer be certified to agree.  Rebuild the runtime
         (re-extract or reload a consistent artifact) to recover.
         """
-        return self._degraded is not None
-
-    @property
-    def queue_stats(self) -> QueueStats:
-        """Counters of the write-ahead queue."""
-        return self._queue.stats
+        return self._writes.degraded is not None
 
     @property
     def stats(self) -> RuntimeStats:
@@ -871,7 +963,7 @@ class ServingRuntime:
         return RuntimeStats(
             published_version=self.published_version,
             updates_published=self._updates_published,
-            update_failures=self._update_failures,
+            update_failures=self._writes.failures,
             snapshots_reclaimed=self._snapshots_reclaimed,
             deltas_submitted=queue.submitted,
             deltas_coalesced=queue.coalesced,

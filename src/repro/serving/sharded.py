@@ -1,378 +1,23 @@
-"""Sharded multi-process serving: shared-memory embeddings, scatter-gather.
+"""Sharded serving: ``n_shards`` partitions, one replica each.
 
-PR 5's :class:`ServingRuntime` is concurrent but single-process — the
-applier's solver work and every reader share one GIL, so under write churn
-read throughput collapses.  This module moves serving across *processes*:
-
-* :func:`stable_shard` hash-partitions text values across ``n_shards``
-  worker processes with a salted-``hash()``-free, restart-stable digest.
-* Each worker opens the base artifact through
-  :meth:`EmbeddingStore.open_matrix_readonly` — a read-only memory map
-  whose pages all workers share with the page cache — and copies out only
-  its own shard's rows (``1/n_shards`` of the matrix per worker instead of
-  one full private copy each).
-* The front (:class:`ShardedServingTier`) scatters ``topk_batch`` to the
-  shards over duplex pipes and merges the per-shard ``(global id, score)``
-  heaps into the exact global top-k: scores are computed per shard over
-  identical vectors and merged with a deterministic ``(score desc, id
-  asc)`` order, so the result is *identical* to a single-index
-  :class:`ServingSession` — same rows, tie-stable (see the tie-breaking
-  contract of :func:`repro.serving.index.topk_descending`).
-* The retrofit applier runs in its *own* process and publishes exclusively
-  through the store's versioned delta records
-  (:meth:`EmbeddingStore.append_embedding_set_delta`).  Workers replay
-  pending records lazily — every query carries the front's last published
-  version, so a ticket that resolved is visible to every subsequent read
-  (read-your-writes), and each worker swaps its replayed snapshot
-  atomically between queries (the per-shard analogue of PR 5's
-  epoch-pinned snapshot swap: the worker loop is single-threaded, so a
-  query never observes a half-replayed shard).
-* Writes pass a :class:`~repro.serving.runtime.RateLimiter` *before* the
-  :class:`~repro.serving.runtime.DeltaQueue`: heavy write traffic is
-  rejected or delayed at admission, degrading writes — never reads.
-* A worker crash is detected at the pipe (broken pipe / EOF / timeout
-  with a dead process); the front keeps answering from the surviving
-  shards (degraded results, counted in :attr:`ShardedServingTier.stats`)
-  while a background thread respawns the shard from the store.
-
-The front's own catalog (extraction metadata, no matrix) replays the same
-delta records, so result decoration — mapping global row ids back to
-``(category, text)`` — always happens at exactly the version the shards
-answered with.
+:class:`ShardedServingTier` is :class:`~repro.serving.tier.ServingTier`
+with ``partitions=n_shards, replicas=1``: each worker holds ``1/n_shards``
+of the matrix and a read merges every shard's hits into the exact global
+top-k.  A dead worker degrades its shard's rows out of the results until
+the respawn lands.  A shard holds too few rows to rebuild the solver, so
+there is no failover: a failed primary latches
+:attr:`~ShardedServingTier.write_degraded` and reads keep serving.
 """
 
 from __future__ import annotations
 
-import hashlib
-import multiprocessing
-import os
-import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
+from repro.serving.runtime import RateLimiter
+from repro.serving.tier import ServingTier, stable_shard
 
-from repro.errors import ExtractionError, ServingError
-from repro.serving.index import FlatIndex, VectorIndex
-from repro.serving.runtime import DeltaQueue, RateLimiter, UpdateTicket
-from repro.serving.store import EmbeddingStore
-from repro.util import EventLog, RetryPolicy, faults
-
-#: Respawn retry shape: three attempts, jittered backoff, bounded total.
-_RESPAWN_RETRY = RetryPolicy(attempts=3, base_delay=0.05, max_delay=1.0, deadline=15.0)
-
-#: How long a worker/applier sleeps in ``poll`` before re-checking whether
-#: its parent is still alive (orphan self-termination).
-_POLL_INTERVAL = 0.2
-
-#: Bound on sync-and-requery rounds before a scatter gives up on getting
-#: every shard to the same version (publishes are orders of magnitude
-#: slower than queries, so 2 rounds virtually always suffice).
-_MAX_VERSION_ROUNDS = 5
-
-
-def stable_shard(category: str, text: str, n_shards: int) -> int:
-    """The shard owning ``(category, text)`` — stable across processes.
-
-    Python's builtin ``hash()`` is salted per process, so it cannot
-    partition values consistently between the front and workers started at
-    different times (or respawned after a crash).  An 8-byte blake2b
-    digest is cheap and permanent: shard membership survives restarts,
-    respawns and delta replay.
-    """
-    digest = hashlib.blake2b(
-        f"{category}\x00{text}".encode("utf-8"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big") % n_shards
-
-
-# --------------------------------------------------------------------- #
-# shard worker process
-# --------------------------------------------------------------------- #
-class _ShardState:
-    """One worker's snapshot: extraction + its shard's vectors at a version.
-
-    The worker loop is single-threaded; :meth:`apply_record` rebuilds the
-    row set and drops the per-scope indexes, so a query either sees the
-    old snapshot or the new one, never a mix.
-    """
-
-    def __init__(
-        self, store: EmbeddingStore, artifact: str, shard_id: int,
-        n_shards: int, metric: str, index_kind: str = "flat",
-        index_params: dict | None = None,
-    ) -> None:
-        self.store = store
-        self.artifact = artifact
-        self.shard_id = shard_id
-        self.n_shards = n_shards
-        self.metric = metric
-        self.index_kind = index_kind
-        self.index_params = dict(index_params or {})
-        self.bootstrap()
-        self.sync_to_latest()
-
-    def bootstrap(self) -> None:
-        """(Re-)load this shard's rows from the base snapshot artifact.
-
-        Called once at startup, and again by a replication follower whose
-        tail position fell behind a log compaction — the base artifact
-        then *is* the newer snapshot to fall back to.
-        """
-        base, version = self.store.load_embedding_set_readonly(self.artifact)
-        self.extraction = base.extraction
-        self.version = version
-        mine = [
-            record.index
-            for record in self.extraction.records
-            if stable_shard(record.category, record.text, self.n_shards)
-            == self.shard_id
-        ]
-        self.local_ids = np.asarray(mine, dtype=np.int64)
-        # the only materialised vectors: this shard's rows, copied out of
-        # the shared read-only mapping (1/n_shards of the matrix)
-        self.vectors = np.array(base.matrix[self.local_ids], dtype=np.float64)
-        self._scopes: dict[str | None, tuple[np.ndarray, VectorIndex]] = {}
-
-    def sync_to_latest(self) -> None:
-        """Replay every store delta record newer than this snapshot."""
-        latest = self.store.latest_version(self.artifact)
-        while self.version < latest:
-            record = self.store.read_embedding_set_delta(
-                self.artifact, self.version + 1
-            )
-            self.apply_record(record)
-
-    def apply_record(self, record) -> None:
-        delta_map = self.extraction.apply_delta(record.extraction_delta)
-        # survivors: remap to the new global numbering, drop removed rows
-        new_ids = delta_map.old_to_new[self.local_ids]
-        keep = new_ids >= 0
-        ids = new_ids[keep]
-        vectors = self.vectors[keep]
-        # rows the delta added that hash into this shard
-        records = self.extraction.records
-        added_positions = [
-            position
-            for position, global_id in enumerate(record.added_indices)
-            if stable_shard(
-                records[global_id].category, records[global_id].text,
-                self.n_shards,
-            ) == self.shard_id
-        ]
-        if added_positions:
-            if record.added_matrix is None:
-                raise ServingError(
-                    f"delta record v{record.version} lacks added vectors"
-                )
-            added_ids = np.asarray(
-                [record.added_indices[p] for p in added_positions],
-                dtype=np.int64,
-            )
-            ids = np.concatenate((ids, added_ids))
-            vectors = np.vstack(
-                (vectors, record.added_matrix[added_positions])
-            )
-        # keep ids ascending: scope subsets stay ordered by global id,
-        # which is what makes per-shard ties merge exactly like the
-        # single-index tie-stable top-k
-        order = np.argsort(ids)
-        ids = ids[order]
-        vectors = vectors[order]
-        if record.changed_rows and ids.size:
-            changed = np.asarray(record.changed_rows, dtype=np.int64)
-            positions = np.searchsorted(ids, changed)
-            clamped = np.minimum(positions, ids.size - 1)
-            hit = (positions < ids.size) & (ids[clamped] == changed)
-            if hit.any():
-                if record.changed_matrix is None:
-                    raise ServingError(
-                        f"delta record v{record.version} lacks changed vectors"
-                    )
-                vectors[positions[hit]] = record.changed_matrix[hit]
-        self.local_ids = ids
-        self.vectors = vectors
-        self._scopes.clear()
-        self.version = record.version
-
-    def _build_index(self, vectors: np.ndarray) -> VectorIndex:
-        """One scope index of the configured kind over ``vectors``.
-
-        Empty scopes always get a flat index: brute force over nothing is
-        free, and the trained kinds reject empty matrices.
-        """
-        if self.index_kind == "flat" or vectors.shape[0] == 0:
-            return FlatIndex(vectors, metric=self.metric)
-        from repro.serving.session import index_factory_for
-
-        factory = index_factory_for(
-            self.index_kind, metric=self.metric, **self.index_params
-        )
-        return factory(vectors)
-
-    def _scope(self, category: str | None) -> tuple[np.ndarray, VectorIndex]:
-        cached = self._scopes.get(category)
-        if cached is not None:
-            return cached
-        if category is None:
-            positions = np.arange(self.local_ids.size)
-        else:
-            members = np.asarray(
-                self.extraction.categories.get(category, []), dtype=np.int64
-            )
-            positions = np.nonzero(np.isin(self.local_ids, members))[0]
-        scope_ids = self.local_ids[positions]
-        index = self._build_index(self.vectors[positions])
-        self._scopes[category] = (scope_ids, index)
-        return scope_ids, index
-
-    def query(
-        self, queries: np.ndarray, k: int, category: str | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-shard top-k: ``(global ids, scores)``, each ``(batch, k')``."""
-        scope_ids, index = self._scope(category)
-        if scope_ids.size == 0:
-            batch = queries.shape[0]
-            return (
-                np.empty((batch, 0), dtype=np.int64),
-                np.empty((batch, 0), dtype=np.float64),
-            )
-        indices, scores = index.query_batch(queries, k)
-        return scope_ids[indices], scores
-
-
-def _shard_worker(
-    shard_id: int,
-    n_shards: int,
-    store_root: str,
-    artifact: str,
-    metric: str,
-    conn,
-    parent_pid: int,
-    index_kind: str = "flat",
-    index_params: dict | None = None,
-) -> None:
-    """Worker main loop: one request in, one response out, strictly paired."""
-    try:
-        state = _ShardState(
-            EmbeddingStore(store_root), artifact, shard_id, n_shards, metric,
-            index_kind=index_kind, index_params=index_params,
-        )
-    except BaseException as error:  # noqa: BLE001 - reported to the front
-        try:
-            conn.send(("init-failed", f"{type(error).__name__}: {error}"))
-        finally:
-            conn.close()
-        return
-    conn.send(("ready", state.version))
-    while True:
-        if not conn.poll(_POLL_INTERVAL):
-            if os.getppid() != parent_pid:
-                return  # orphaned: the front died without a clean stop
-            continue
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            return
-        command = message[0]
-        if command == "stop":
-            return
-        try:
-            if command == "query":
-                _, request_id, queries, k, category, min_version = message
-                faults.fire("shard.worker", "before")
-                if min_version is not None and state.version < min_version:
-                    state.sync_to_latest()
-                ids, scores = state.query(queries, int(k), category)
-                if faults.should_drop("shard.pipe_send"):
-                    continue  # injected: the response never leaves the worker
-                conn.send(("result", request_id, state.version, ids, scores))
-            elif command == "sync":
-                _, request_id = message
-                state.sync_to_latest()
-                conn.send(("synced", request_id, state.version))
-            elif command == "ping":
-                _, request_id = message
-                conn.send(("pong", request_id, state.version))
-            else:
-                conn.send(("error", message[1], f"unknown command {command!r}"))
-        except BaseException as error:  # noqa: BLE001 - reply, don't die
-            conn.send(("error", message[1], f"{type(error).__name__}: {error}"))
-
-
-# --------------------------------------------------------------------- #
-# applier process
-# --------------------------------------------------------------------- #
-def _applier_worker(
-    store_root: str,
-    artifact: str,
-    database,
-    retrofitter,
-    solve_iterations,
-    conn,
-    parent_pid: int,
-) -> None:
-    """Drain write batches: validate → retrofit → publish a delta record.
-
-    Mirrors the single-process runtime's degradation contract: a delta
-    rejected by write-ahead validation provably left the database
-    untouched (healthy failure, keep going); any later failure means the
-    database and the published vectors may disagree, so the applier
-    refuses every further batch.
-    """
-    store = EmbeddingStore(store_root)
-    degraded: str | None = None
-    while True:
-        if not conn.poll(_POLL_INTERVAL):
-            if os.getppid() != parent_pid:
-                return
-            continue
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            return
-        if message[0] == "stop":
-            return
-        _, delta = message
-        if degraded is not None:
-            conn.send(("failed", degraded, True))
-            continue
-        try:
-            delta.validate_against(database)
-        except Exception as error:
-            conn.send(("failed", f"{type(error).__name__}: {error}", False))
-            continue
-        try:
-            update = retrofitter.apply(
-                database, delta, iterations=solve_iterations
-            )
-            store.append_embedding_set_delta(artifact, update)
-        except Exception as error:
-            degraded = f"{type(error).__name__}: {error}"
-            conn.send(("failed", degraded, True))
-            continue
-        conn.send(("applied", store.latest_version(artifact)))
-
-
-# --------------------------------------------------------------------- #
-# the front
-# --------------------------------------------------------------------- #
-class _ShardHandle:
-    """The front's view of one worker: process + pipe + request pairing."""
-
-    def __init__(self, shard_id: int) -> None:
-        self.shard_id = shard_id
-        self.process = None
-        self.conn = None
-        self.lock = threading.Lock()
-        self.alive = False
-        self.respawning = False
-        self._next_request = 0
-
-    def next_request_id(self) -> int:
-        self._next_request += 1
-        return self._next_request
+__all__ = ["ShardedServingTier", "TierStats", "stable_shard"]
 
 
 @dataclass(frozen=True)
@@ -391,29 +36,19 @@ class TierStats:
     writes_rate_limited: int
 
 
-class ShardedServingTier:
+class ShardedServingTier(ServingTier):
     """Scatter-gather top-k serving over ``n_shards`` worker processes.
 
-    The tier serves one ``embedding_set`` artifact of an
-    :class:`EmbeddingStore`.  Construction is cheap; :meth:`start` forks
-    the workers (and, when ``database``/``retrofitter`` are given, the
-    applier process that owns them — the caller must not touch either
-    afterwards).  Reads go through :meth:`topk`/:meth:`topk_batch`;
-    writes through :meth:`submit`, which returns an
-    :class:`~repro.serving.runtime.UpdateTicket` resolving once the delta
-    is published as a store record.  After ``ticket.wait()`` every read
-    sees the update: queries carry the front's published version and a
-    lagging shard replays the store's delta chain before answering.
-
-    Scatter-gather calls are serialised by an internal lock (each call is
-    a full batch; compose with
+    Reads go through :meth:`topk`/:meth:`topk_batch`; writes through
+    :meth:`submit` (given ``database``/``retrofitter``, which the tier
+    then owns).  After ``ticket.wait()`` every read sees the update:
+    reads carry the published version and a lagging shard replays the
+    store's delta chain before answering.  Compose with
     :class:`~repro.serving.runtime.BatchedQueryFront` to coalesce
-    concurrent callers into batches).
-
-    A dead worker degrades its shard's rows out of the results until a
-    background respawn (from the store, at the newest version) completes;
-    reads never fail because one shard died.
+    concurrent callers into batches.
     """
+
+    _kind = "sharded"
 
     def __init__(
         self,
@@ -432,605 +67,42 @@ class ShardedServingTier:
         index_kind: str = "flat",
         index_params: dict | None = None,
     ) -> None:
-        if n_shards < 1:
-            raise ServingError("n_shards must be at least 1")
-        if index_kind not in ("flat", "ivf", "pq", "nsw"):
-            raise ServingError(
-                f"unknown index kind {index_kind!r}; pick one of "
-                "flat/ivf/pq/nsw"
-            )
-        if (database is None) != (retrofitter is None):
-            raise ServingError(
-                "writer side needs both database and retrofitter (or neither)"
-            )
-        self._store_root = str(store_root)
-        self._store = EmbeddingStore(store_root)
-        self._artifact = artifact
-        self.n_shards = int(n_shards)
-        self._metric = metric
-        self._index_kind = index_kind
-        self._index_params = dict(index_params or {})
-        self._database = database
-        self._retrofitter = retrofitter
-        self._solve_iterations = solve_iterations
-        self._query_timeout = float(query_timeout)
-        self._rate_limit = write_rate_limit
-        self._context = multiprocessing.get_context("fork")
-
-        self._shards = [_ShardHandle(i) for i in range(self.n_shards)]
-        self._applier_process = None
-        self._applier_conn = None
-        self._queue = (
-            DeltaQueue(
-                capacity=queue_capacity,
-                coalesce=coalesce,
-                max_coalesced_ops=max_coalesced_ops,
-            )
-            if retrofitter is not None
-            else None
+        super().__init__(
+            store_root, artifact, partitions=n_shards, replicas=1,
+            database=database, retrofitter=retrofitter, metric=metric,
+            solve_iterations=solve_iterations, queue_capacity=queue_capacity,
+            coalesce=coalesce, max_coalesced_ops=max_coalesced_ops,
+            write_rate_limit=write_rate_limit, query_timeout=query_timeout,
+            index_kind=index_kind, index_params=index_params,
         )
-        self._writer_thread: threading.Thread | None = None
-        self._abandon = False
-        self._write_degraded: str | None = None
-        self._progress = threading.Condition()
-        self._done_seq = -1
-
-        self._query_lock = threading.Lock()
-        self._lifecycle_lock = threading.Lock()
-        self._started = False
-        self._stopped = False
-        self._version = 0
-        self._catalog = None  # front-side extraction, replayed lazily
-        self._catalog_version = 0
-        self._dimension: int | None = None
-
-        self._n_queries = 0
-        self._n_degraded = 0
-        self._n_respawns = 0
-        self._writes_applied = 0
-        self._write_failures = 0
-        self._rate_limited = 0
-        self._events = EventLog("sharded")
-
-    # ------------------------------------------------------------------ #
-    # lifecycle
-    # ------------------------------------------------------------------ #
-    def start(self) -> "ShardedServingTier":
-        """Fork the shard workers (and the applier); idempotent."""
-        if self._started:
-            return self
-        if self._stopped:
-            raise ServingError("cannot restart a stopped sharded tier")
-        # extract the mmap sidecar once, before forking: N workers racing
-        # the first extraction would each decompress the archive
-        matrix = self._store.open_matrix_readonly(self._artifact)
-        self._dimension = int(matrix.shape[1])
-        base, version = self._store.load_embedding_set_readonly(self._artifact)
-        self._catalog = base.extraction
-        self._catalog_version = version
-        self._sync_catalog(self._store.latest_version(self._artifact))
-        self._version = self._catalog_version
-        for handle in self._shards:
-            self._spawn(handle)
-        for handle in self._shards:
-            self._await_ready(handle)
-        if self._retrofitter is not None:
-            parent, child = self._context.Pipe()
-            self._applier_conn = parent
-            self._applier_process = self._context.Process(
-                target=_applier_worker,
-                args=(
-                    self._store_root, self._artifact, self._database,
-                    self._retrofitter, self._solve_iterations, child,
-                    os.getpid(),
-                ),
-                daemon=True,
-                name="sharded-applier",
-            )
-            self._applier_process.start()
-            child.close()
-            self._writer_thread = threading.Thread(
-                target=self._writer_loop, name="sharded-writer", daemon=True
-            )
-            self._writer_thread.start()
-        self._started = True
-        return self
-
-    def _spawn(self, handle: _ShardHandle) -> None:
-        parent, child = self._context.Pipe()
-        handle.conn = parent
-        handle.process = self._context.Process(
-            target=_shard_worker,
-            args=(
-                handle.shard_id, self.n_shards, self._store_root,
-                self._artifact, self._metric, child, os.getpid(),
-                self._index_kind, self._index_params,
-            ),
-            daemon=True,
-            name=f"shard-worker-{handle.shard_id}",
-        )
-        handle.process.start()
-        child.close()
-
-    def _await_ready(self, handle: _ShardHandle) -> None:
-        if not handle.conn.poll(self._query_timeout):
-            raise ServingError(
-                f"shard {handle.shard_id} did not come up within "
-                f"{self._query_timeout}s"
-            )
-        message = handle.conn.recv()
-        if message[0] != "ready":
-            raise ServingError(
-                f"shard {handle.shard_id} failed to initialise: {message[-1]}"
-            )
-        handle.alive = True
-
-    def stop(self, flush: bool = True, timeout: float | None = 30.0) -> None:
-        """Stop workers and applier; with ``flush`` queued writes land first."""
-        if not self._started or self._stopped:
-            self._stopped = True
-            return
-        if self._queue is not None:
-            if flush and self._write_degraded is None:
-                try:
-                    self.flush(timeout=timeout)
-                except ServingError:
-                    pass  # failing writes must not wedge shutdown
-            self._abandon = not flush
-            self._queue.close()
-            if self._writer_thread is not None:
-                self._writer_thread.join(timeout)
-            error = ServingError(
-                "sharded tier stopped before applying the delta"
-            )
-            for ticket in self._queue.drain_tickets():
-                ticket._fail(error)
-        if self._applier_process is not None:
-            self._send_quietly(self._applier_conn, ("stop",))
-            self._applier_process.join(timeout)
-            if self._applier_process.is_alive():
-                self._applier_process.terminate()
-                self._applier_process.join(5.0)
-            self._applier_conn.close()
-        for handle in self._shards:
-            if handle.conn is not None:
-                self._send_quietly(handle.conn, ("stop",))
-        for handle in self._shards:
-            if handle.process is not None:
-                handle.process.join(timeout)
-                if handle.process.is_alive():
-                    handle.process.terminate()
-                    handle.process.join(5.0)
-            if handle.conn is not None:
-                handle.conn.close()
-            handle.alive = False
-        self._stopped = True
-
-    @staticmethod
-    def _send_quietly(conn, message) -> None:
-        try:
-            conn.send(message)
-        except (BrokenPipeError, OSError):
-            pass
-
-    def __enter__(self) -> "ShardedServingTier":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop(flush=exc_type is None)
-
-    # ------------------------------------------------------------------ #
-    # writer side
-    # ------------------------------------------------------------------ #
-    def submit(
-        self,
-        delta,
-        timeout: float | None = None,
-        submission_id: str | None = None,
-    ) -> UpdateTicket:
-        """Queue a delta for the applier process; returns its ticket.
-
-        Admission is two-staged: the rate limiter rejects (after at most
-        ``timeout``) when write traffic exceeds the configured budget —
-        *before* the delta ever occupies queue capacity — and the bounded
-        queue blocks when the applier falls behind.  Readers are never
-        throttled by either.
-        """
-        if self._queue is None:
-            raise ServingError("this tier has no writer side (no retrofitter)")
-        if self._write_degraded is not None:
-            raise ServingError(
-                "sharded tier is write-degraded (an update failed after "
-                "mutating the database; rebuild the tier): "
-                f"{self._write_degraded}"
-            )
-        if not self._started or self._stopped:
-            raise ServingError("sharded tier is not running — call start()")
-        if self._rate_limit is not None and not self._rate_limit.acquire(
-            timeout=timeout
-        ):
-            self._rate_limited += 1
-            raise ServingError(
-                "write admission rejected: rate limit exceeded "
-                f"({self._rate_limit.rate_per_second:.3g}/s)"
-            )
-        return self._queue.submit(
-            delta, timeout=timeout, submission_id=submission_id
-        )
-
-    def flush(self, timeout: float | None = None) -> None:
-        """Block until every submitted delta has been applied (or failed)."""
-        if self._queue is None:
-            return
-        target = self._queue.last_submitted_seq
-        deadline = None if timeout is None else time.perf_counter() + timeout
-        with self._progress:
-            while self._done_seq < target:
-                if self._writer_thread is None or not self._writer_thread.is_alive():
-                    raise ServingError(
-                        "sharded tier writer stopped with deltas still queued"
-                    )
-                remaining = (
-                    None if deadline is None else deadline - time.perf_counter()
-                )
-                if remaining is not None and remaining <= 0:
-                    raise ServingError(f"flush timed out after {timeout}s")
-                self._progress.wait(
-                    0.1 if remaining is None else min(remaining, 0.1)
-                )
-
-    def _writer_loop(self) -> None:
-        while not self._abandon:
-            batch = self._queue.pop(timeout=0.1)
-            if batch is None:
-                if self._queue.closed and len(self._queue) == 0:
-                    return
-                continue
-            self._apply_batch(batch)
-
-    def _apply_batch(self, batch) -> None:
-        now = time.perf_counter()
-        if batch.delta.is_empty():
-            for ticket in batch.tickets:
-                ticket._complete(self._version, now)
-            self._mark_done(batch)
-            return
-        if self._write_degraded is not None:
-            self._fail_batch(batch, ServingError(self._write_degraded))
-            return
-        try:
-            self._applier_conn.send(("apply", batch.delta))
-            response = self._recv_applier()
-        except (BrokenPipeError, EOFError, OSError) as error:
-            self._write_degraded = f"applier process died: {error!r}"
-            self._events.emit("write_degraded", reason=self._write_degraded)
-            self._fail_batch(batch, ServingError(self._write_degraded))
-            return
-        if response[0] == "applied":
-            self._version = int(response[1])
-            now = time.perf_counter()
-            for ticket in batch.tickets:
-                ticket._complete(self._version, now)
-            self._writes_applied += 1
-            self._mark_done(batch)
-            return
-        _, message, degraded = response
-        if degraded:
-            self._write_degraded = message
-            self._events.emit("write_degraded", reason=message)
-        self._fail_batch(batch, ServingError(message))
-
-    def _recv_applier(self):
-        # the applier runs a full solver pass per batch: wait without a
-        # fixed deadline but notice a dead process instead of hanging
-        while not self._applier_conn.poll(_POLL_INTERVAL):
-            if not self._applier_process.is_alive():
-                raise EOFError("applier exited")
-        return self._applier_conn.recv()
-
-    def _fail_batch(self, batch, error: BaseException) -> None:
-        self._write_failures += 1
-        for ticket in batch.tickets:
-            ticket._fail(error)
-        self._mark_done(batch)
-
-    def _mark_done(self, batch) -> None:
-        with self._progress:
-            self._done_seq = max(
-                self._done_seq, max(t.seq for t in batch.tickets)
-            )
-            self._progress.notify_all()
-
-    # ------------------------------------------------------------------ #
-    # reader side
-    # ------------------------------------------------------------------ #
-    @property
-    def dimension(self) -> int:
-        """Dimensionality of the served vectors."""
-        if self._dimension is None:
-            raise ServingError("sharded tier is not running — call start()")
-        return self._dimension
+        self.n_shards = self.n_partitions
 
     @property
-    def published_version(self) -> int:
-        """Newest version a read is guaranteed to reflect."""
-        return self._version
-
-    @property
-    def categories(self) -> list[str]:
-        """All servable categories at the front's current catalog."""
-        if self._catalog is None:
-            raise ServingError("sharded tier is not running — call start()")
-        return list(self._catalog.categories)
-
-    def topk(
-        self, vector: np.ndarray, k: int = 10, category: str | None = None
-    ) -> list[tuple[str, str, float]]:
-        """Top-``k`` ``(category, text, score)`` triples for one query."""
-        vector = np.asarray(vector, dtype=np.float64)
-        if vector.ndim != 1:
-            raise ServingError("topk expects a single query vector")
-        return self.topk_batch(vector[None, :], k, category=category)[0]
-
-    def topk_batch(
-        self, vectors, k: int = 10, category: str | None = None
-    ) -> list[list[tuple[str, str, float]]]:
-        """Exact global top-k, scatter-gathered across the shards."""
-        queries = np.asarray(vectors, dtype=np.float64)
-        if queries.ndim != 2:
-            raise ServingError("topk_batch expects a (batch, dimension) matrix")
-        if self._dimension is not None and queries.shape[1] != self._dimension:
-            raise ServingError(
-                f"query batch has shape {queries.shape}, expected "
-                f"(batch, {self._dimension})"
-            )
-        if not self._started or self._stopped:
-            raise ServingError("sharded tier is not running — call start()")
-        with self._query_lock:
-            return self._scatter_gather(queries, int(k), category)
-
-    def _scatter_gather(
-        self, queries: np.ndarray, k: int, category: str | None
-    ) -> list[list[tuple[str, str, float]]]:
-        self._n_queries += 1
-        min_version = self._version
-        responses: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}
-        targets = [h for h in self._shards if h.alive]
-        degraded = len(targets) < self.n_shards
-        for round_ in range(_MAX_VERSION_ROUNDS):
-            for handle in targets:
-                if not self._ask(
-                    handle, queries, k, category, min_version, responses
-                ):
-                    degraded = True
-            if not responses:
-                if degraded:
-                    break
-                raise ServingError("no shard answered the query")
-            versions = {version for version, _, _ in responses.values()}
-            newest = max(versions)
-            if len(versions) == 1 and newest >= min_version:
-                break
-            # a publish landed mid-scatter: re-ask the lagging shards at
-            # the newest version so one response set is self-consistent
-            min_version = newest
-            targets = [
-                h for h in self._shards
-                if h.alive and h.shard_id in responses
-                and responses[h.shard_id][0] < newest
-            ]
-            if not targets:
-                break
-        else:
-            raise ServingError(
-                "shards kept answering at diverging versions "
-                f"({sorted(versions)}) — store replay cannot keep up"
-            )
-        if degraded:
-            self._n_degraded += 1
-        if not responses:
-            raise ServingError("every shard worker is down")
-        merged_version = max(version for version, _, _ in responses.values())
-        self._sync_catalog(merged_version)
-        if category is not None and category not in self._catalog.categories:
-            raise ExtractionError(f"unknown category {category!r}")
-        return self._merge(queries.shape[0], k, responses)
-
-    def _ask(
-        self, handle: _ShardHandle, queries, k, category, min_version,
-        responses,
-    ) -> bool:
-        """One request/response exchange; ``False`` marks the shard dead."""
-        request_id = handle.next_request_id()
-        try:
-            with handle.lock:
-                handle.conn.send(
-                    ("query", request_id, queries, k, category, min_version)
-                )
-                deadline = time.perf_counter() + self._query_timeout
-                while not handle.conn.poll(_POLL_INTERVAL):
-                    if not handle.process.is_alive():
-                        raise EOFError("shard worker exited")
-                    if time.perf_counter() >= deadline:
-                        raise ServingError(
-                            f"shard {handle.shard_id} did not answer within "
-                            f"{self._query_timeout}s"
-                        )
-                message = handle.conn.recv()
-        except (BrokenPipeError, EOFError, OSError):
-            self._mark_dead(handle)
-            responses.pop(handle.shard_id, None)
-            return False
-        if message[0] == "error":
-            raise ServingError(
-                f"shard {handle.shard_id} rejected the query: {message[2]}"
-            )
-        kind, response_id, version, ids, scores = message
-        if kind != "result" or response_id != request_id:
-            self._mark_dead(handle)
-            responses.pop(handle.shard_id, None)
-            return False
-        responses[handle.shard_id] = (int(version), ids, scores)
-        return True
-
-    def _mark_dead(self, handle: _ShardHandle) -> None:
-        """Note a crashed worker and respawn it off the query path."""
-        handle.alive = False
-        self._events.emit(
-            "shard_dead", shard=handle.shard_id, reason="pipe broken or paired reply lost"
-        )
-        with self._lifecycle_lock:
-            if handle.respawning or self._stopped:
-                return
-            handle.respawning = True
-        self._n_respawns += 1
-        threading.Thread(
-            target=self._respawn, args=(handle,),
-            name=f"shard-respawn-{handle.shard_id}", daemon=True,
-        ).start()
-
-    def _spawn_once(self, handle: _ShardHandle) -> None:
-        """One respawn attempt (retried by :data:`_RESPAWN_RETRY`)."""
-        if faults.should_fail_spawn("shard.respawn"):
-            raise ServingError(
-                f"injected spawn failure for shard {handle.shard_id}"
-            )
-        self._spawn(handle)
-        self._await_ready(handle)
-
-    def _respawn(self, handle: _ShardHandle) -> None:
-        try:
-            if handle.process is not None:
-                handle.process.join(timeout=5.0)
-                if handle.process.is_alive():
-                    handle.process.terminate()
-                    handle.process.join(5.0)
-            if handle.conn is not None:
-                handle.conn.close()
-            _RESPAWN_RETRY.call(
-                lambda: self._spawn_once(handle),
-                retry_on=(ServingError, OSError),
-                on_retry=lambda attempt, error, delay: self._events.emit(
-                    "shard_respawn_retry",
-                    shard=handle.shard_id,
-                    attempt=attempt + 1,
-                    reason=str(error),
-                    backoff_s=round(delay, 4),
-                ),
-            )
-            self._events.emit("shard_respawned", shard=handle.shard_id)
-        except Exception as error:
-            handle.alive = False  # stays degraded; the next crash retries
-            self._events.emit(
-                "shard_respawn_failed", shard=handle.shard_id, reason=str(error)
-            )
-        finally:
-            with self._lifecycle_lock:
-                handle.respawning = False
-
-    def _sync_catalog(self, version: int) -> None:
-        while self._catalog_version < version:
-            record = self._store.read_embedding_set_delta(
-                self._artifact, self._catalog_version + 1
-            )
-            self._catalog.apply_delta(record.extraction_delta)
-            self._catalog_version = record.version
-        if version > self._version:
-            self._version = version
-
-    def _merge(
-        self, batch: int, k: int, responses
-    ) -> list[list[tuple[str, str, float]]]:
-        """Fold per-shard ``(ids, scores)`` into the exact global top-k.
-
-        ``lexsort`` orders by ``(score descending, global id ascending)``
-        — exactly the tie-stable contract of
-        :func:`repro.serving.index.topk_descending`, so the merged rows
-        equal the single-index result row for row.
-        """
-        records = self._catalog.records
-        parts = list(responses.values())
-        all_ids = [p[1] for p in parts]
-        all_scores = [p[2] for p in parts]
-        results: list[list[tuple[str, str, float]]] = []
-        for row in range(batch):
-            ids = np.concatenate([ids_[row] for ids_ in all_ids])
-            scores = np.concatenate([scores_[row] for scores_ in all_scores])
-            order = np.lexsort((ids, -scores))[:k]
-            triples: list[tuple[str, str, float]] = []
-            for position in order:
-                score = scores[position]
-                if not np.isfinite(score):
-                    continue
-                record = records[int(ids[position])]
-                triples.append((record.category, record.text, float(score)))
-            results.append(triples)
-        return results
-
-    # ------------------------------------------------------------------ #
-    # maintenance / introspection
-    # ------------------------------------------------------------------ #
-    def sync_shards(self, timeout: float | None = None) -> int:
-        """Force every live shard to replay to the store's newest version.
-
-        Returns the version all shards reached.  Reads already self-sync
-        (queries carry the published version); this is for tests and for
-        warming shards after a burst of writes landed without reads.
-        """
-        timeout = self._query_timeout if timeout is None else timeout
-        version = self._version
-        with self._query_lock:
-            for handle in self._shards:
-                if not handle.alive:
-                    continue
-                request_id = handle.next_request_id()
-                try:
-                    with handle.lock:
-                        handle.conn.send(("sync", request_id))
-                        deadline = time.perf_counter() + timeout
-                        while not handle.conn.poll(_POLL_INTERVAL):
-                            if not handle.process.is_alive():
-                                raise EOFError("shard worker exited")
-                            if time.perf_counter() >= deadline:
-                                raise ServingError(
-                                    f"shard {handle.shard_id} sync timed out"
-                                )
-                        message = handle.conn.recv()
-                except (BrokenPipeError, EOFError, OSError):
-                    self._mark_dead(handle)
-                    continue
-                if message[0] == "synced":
-                    version = max(version, int(message[2]))
-            self._sync_catalog(version)
-        return version
+    def _shards(self):
+        """The shard workers' handles, in shard order."""
+        return self._replicas
 
     @property
     def live_shards(self) -> int:
         """Number of currently responsive shard workers."""
-        return sum(1 for handle in self._shards if handle.alive)
+        return self.live_followers
 
-    @property
-    def write_degraded(self) -> bool:
-        """Whether the applier failed past validation (writes refused)."""
-        return self._write_degraded is not None
+    def sync_shards(self, timeout: float | None = None) -> int:
+        """Force every live shard to replay to the store's newest version.
 
-    def recent_events(self, n: int = 50) -> list[dict]:
-        """The tier's latest structured state-transition events."""
-        return self._events.tail(n)
+        Returns the version all shards reached.  Reads already self-sync
+        (they carry the published version); this is for tests and for
+        warming shards after a burst of writes landed without reads.
+        """
+        return self.sync_replicas(timeout)
 
     @property
     def stats(self) -> TierStats:
         """A point-in-time snapshot of the tier's counters."""
-        queue = self._queue.stats if self._queue is not None else None
         return TierStats(
             n_shards=self.n_shards,
             live_shards=self.live_shards,
             published_version=self._version,
-            queries=self._n_queries,
-            degraded_queries=self._n_degraded,
             shard_respawns=self._n_respawns,
-            writes_submitted=queue.submitted if queue else 0,
-            writes_applied=self._writes_applied,
-            write_failures=self._write_failures,
-            writes_rate_limited=self._rate_limited,
+            **self._counters(),
         )

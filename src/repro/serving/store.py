@@ -210,6 +210,8 @@ class EmbeddingStore:
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
+        # name -> ((st_ino, st_mtime_ns, st_size) of the header, set_version)
+        self._set_versions: dict[str, tuple[tuple[int, int, int], int]] = {}
 
     # ------------------------------------------------------------------ #
     # low-level artifact IO
@@ -810,9 +812,7 @@ class EmbeddingStore:
 
     def latest_version(self, name: str) -> int:
         """The version a load of ``name`` would produce (base + deltas)."""
-        header = self._read_header(name)
-        self._validate_header(name, header, KIND_EMBEDDING_SET)
-        version = int(header.get("set_version", 0))
+        version = self.base_version(name)
         deltas = self.list_embedding_set_deltas(name)
         return max([version] + [v for v, _ in deltas])
 
@@ -900,10 +900,31 @@ class EmbeddingStore:
         A follower whose tail position fell behind a compaction compares
         its replayed version against this to decide whether re-bootstrapping
         from the (newer) base snapshot can recover the lost records.
+
+        Replicas poll this every tail tick, and the header carries the
+        whole extraction, so the validated version is cached per handle.
+        The cache key is the header file's ``(inode, mtime, size)``:
+        headers are only ever replaced by an atomic rename, which always
+        changes the inode, so any new header misses the cache.
         """
+        header_path = self._header_path(name)
+        try:
+            stat = header_path.stat()
+        except FileNotFoundError:
+            raise StoreFormatError(
+                f"no artifact {name!r} in store {self.root}"
+            ) from None
+        # stat *before* reading: a header renamed in between is cached
+        # under the old key and simply re-read on the next call
+        key = (stat.st_ino, stat.st_mtime_ns, stat.st_size)
+        cached = self._set_versions.get(name)
+        if cached is not None and cached[0] == key:
+            return cached[1]
         header = self._read_header(name)
         self._validate_header(name, header, KIND_EMBEDDING_SET)
-        return int(header.get("set_version", 0))
+        version = int(header.get("set_version", 0))
+        self._set_versions[name] = (key, version)
+        return version
 
     def compact_embedding_set(self, name: str, keep_from: int | None = None) -> int:
         """Fold all delta records of ``name`` into its base artifact.

@@ -2,7 +2,7 @@
 
 A :class:`FaultPlan` is a picklable schedule of :class:`FaultPoint`\\ s,
 each armed at a *named* seam in the code (``store.header_commit``,
-``shard.pipe_send``, ...).  Production code consults the module-level
+``repl.pipe_send``, ...).  Production code consults the module-level
 plan through cheap helpers (:func:`fire`, :func:`torn_fraction`,
 :func:`should_drop`, :func:`should_fail_spawn`) that are no-ops when no
 plan is installed — the common case costs one ``is None`` check.
@@ -11,7 +11,7 @@ Determinism is the point: the plan counts *traversals* of each seam and
 fires on an exact traversal index (``skip`` passes, then ``hits``
 firings), so a seeded schedule reproduces the same failure at the same
 operation every run.  Plans are installed *before* worker processes are
-forked, so shard workers, the applier, the primary and followers all
+forked, so the primary and every replica of a serving tier all
 inherit and evaluate the same schedule — crash faults inside a worker
 emulate SIGKILL with ``os._exit`` (no atexit, no flushes, no goodbyes).
 

@@ -52,8 +52,7 @@ class TestRandomWalkGenerator:
 
     def test_corpus_size(self, line_graph):
         generator = RandomWalkGenerator(line_graph, walk_length=3, walks_per_node=4)
-        with pytest.deprecated_call():
-            corpus = generator.corpus()
+        corpus = list(generator.generate())
         assert len(corpus) == 4 * len(line_graph.nodes)
 
     def test_every_node_is_a_start(self, line_graph):
@@ -70,15 +69,6 @@ class TestRandomWalkGenerator:
         first = list(RandomWalkGenerator(line_graph, seed=1, walk_length=10).generate())
         second = list(RandomWalkGenerator(line_graph, seed=2, walk_length=10).generate())
         assert first != second
-
-    def test_corpus_shim_matches_generate(self, line_graph):
-        generator = RandomWalkGenerator(line_graph, seed=4, walks_per_node=2)
-        streamed = list(generator.generate())
-        with pytest.deprecated_call():
-            materialised = RandomWalkGenerator(
-                line_graph, seed=4, walks_per_node=2
-            ).corpus()
-        assert streamed == materialised
 
 
 class TestWalkCorpus:

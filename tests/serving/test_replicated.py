@@ -12,6 +12,7 @@ stress-marked classes.
 
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -28,6 +29,7 @@ from repro.serving import (
     EmbeddingStore,
     ReplicatedServingTier,
     ServingSession,
+    ServingTier,
     ship_snapshot,
 )
 from repro.serving.replicated import _FollowerState
@@ -102,11 +104,27 @@ def append_one(dataset, retrofitter, store, key):
     return update
 
 
+def make_tier(store, artifact, n_replicas, **kwargs):
+    """A replicated tier, or the P×R tier when ``n_replicas`` is a
+    ``(partitions, replicas)`` pair."""
+    if isinstance(n_replicas, tuple):
+        partitions, replicas = n_replicas
+        return ServingTier(
+            store.root, artifact, partitions=partitions, replicas=replicas,
+            **kwargs,
+        )
+    return ReplicatedServingTier(
+        store.root, artifact, n_replicas=n_replicas, **kwargs
+    )
+
+
 class TestReplicatedEqualsSingleIndex:
-    @pytest.mark.parametrize("n_replicas", [1, 2])
+    @pytest.mark.parametrize(
+        "n_replicas", [1, 2, pytest.param((2, 2), id="2x2")]
+    )
     def test_topk_batch_identical(self, int_corpus, n_replicas):
         store, session, queries = int_corpus
-        tier = ReplicatedServingTier(store.root, "int", n_replicas=n_replicas)
+        tier = make_tier(store, "int", n_replicas)
         with tier:
             for k in (1, 3, 10):
                 assert tier.topk_batch(queries, k) == session.topk_batch(
@@ -153,6 +171,50 @@ class TestReplicatedEqualsSingleIndex:
             )
             assert version == 0
             assert results == session.topk_batch(queries, 5)
+
+
+class TestFrontCatalog:
+    def test_concurrent_replays_apply_each_delta_once(self, stream):
+        """Two readers replaying the front catalog at once (e.g. two
+        gateway threads asking for a new category) must leave it equal
+        to one serial replay — no extraction delta applied twice."""
+        dataset, retrofitter, store, _ = stream
+        with ReplicatedServingTier(store.root, "rn", n_replicas=1) as tier:
+            for key in (1, 2, 3):
+                append_one(dataset, retrofitter, store, key)
+            read = tier._store.read_embedding_set_delta
+
+            def slow_read(name, version):
+                record = read(name, version)
+                time.sleep(0.05)  # widen the read → apply window
+                return record
+
+            tier._store.read_embedding_set_delta = slow_read
+            barrier = threading.Barrier(2)
+            errors = []
+
+            def replay():
+                barrier.wait()
+                try:
+                    tier._sync_catalog(3)
+                except Exception as error:  # noqa: BLE001 - asserted below
+                    errors.append(error)
+
+            threads = [threading.Thread(target=replay) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert errors == []
+            serial, _, version = store.load_embedding_set_versioned("rn")
+            assert tier._catalog_version == version == 3
+            assert [
+                (r.category, r.text, r.index) for r in tier._catalog.records
+            ] == [
+                (r.category, r.text, r.index)
+                for r in serial.extraction.records
+            ]
+            assert tier._catalog.categories == serial.extraction.categories
 
 
 class TestShipSnapshot:

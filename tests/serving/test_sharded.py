@@ -10,6 +10,8 @@ tie-handling or partition bug fails deterministically.
 
 import os
 import signal
+import sys
+import threading
 import time
 
 import numpy as np
@@ -25,11 +27,25 @@ from repro.serving import (
     EmbeddingStore,
     RateLimiter,
     ServingSession,
+    ServingTier,
     ShardedServingTier,
     stable_shard,
 )
 
-SHARD_COUNTS = [1, 2, 5]
+#: A ``(partitions, replicas)`` pair runs the general P×R tier instead.
+GRID = pytest.param((2, 2), id="2x2")
+SHARD_COUNTS = [1, 2, 5, GRID]
+
+
+def make_tier(store, artifact, n_shards, **kwargs):
+    """A sharded tier, or the P×R tier when ``n_shards`` is a pair."""
+    if isinstance(n_shards, tuple):
+        partitions, replicas = n_shards
+        return ServingTier(
+            store.root, artifact, partitions=partitions, replicas=replicas,
+            **kwargs,
+        )
+    return ShardedServingTier(store.root, artifact, n_shards=n_shards, **kwargs)
 
 
 class TestStableShard:
@@ -72,7 +88,7 @@ class TestShardedEqualsSingleIndex:
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_topk_batch_identical(self, int_corpus, n_shards):
         store, session, queries = int_corpus
-        with ShardedServingTier(store.root, "int", n_shards=n_shards) as tier:
+        with make_tier(store, "int", n_shards) as tier:
             for k in (1, 3, 10):
                 assert tier.topk_batch(queries, k) == session.topk_batch(
                     queries, k
@@ -82,7 +98,7 @@ class TestShardedEqualsSingleIndex:
     def test_category_scope_identical(self, int_corpus, n_shards):
         store, session, queries = int_corpus
         categories = sorted(session.categories)[:3]
-        with ShardedServingTier(store.root, "int", n_shards=n_shards) as tier:
+        with make_tier(store, "int", n_shards) as tier:
             for category in categories:
                 assert tier.topk_batch(
                     queries, 5, category=category
@@ -120,11 +136,11 @@ class TestShardedIndexKinds:
     """``index_kind`` swaps the per-shard scope index; an exhaustive NSW
     beam keeps the tier's exact-equality contract bit for bit."""
 
-    @pytest.mark.parametrize("n_shards", [1, 3])
+    @pytest.mark.parametrize("n_shards", [1, 3, GRID])
     def test_nsw_per_shard_equals_single_index(self, int_corpus, n_shards):
         store, session, queries = int_corpus
-        tier = ShardedServingTier(
-            store.root, "int", n_shards=n_shards, index_kind="nsw",
+        tier = make_tier(
+            store, "int", n_shards, index_kind="nsw",
             index_params={"max_degree": 8, "ef_search": 100_000},
         )
         with tier:
@@ -255,6 +271,40 @@ class TestWriteAdmission:
 
 
 @pytest.mark.stress
+class TestConcurrentReads:
+    def test_concurrent_reads_stay_exact_and_counted(self, int_corpus):
+        """More reader threads than cores, switching every 10 µs, share
+        the tier without a tier-wide lock: every answer stays exact and
+        no read is lost from the counters."""
+        store, session, queries = int_corpus
+        want = session.topk_batch(queries, 5)
+        mismatches = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServingTier(
+                store.root, "int", partitions=2, replicas=2
+            ) as tier:
+
+                def reader():
+                    for _ in range(20):
+                        if tier.topk_batch(queries, 5) != want:
+                            mismatches.append(threading.get_ident())
+
+                threads = [threading.Thread(target=reader) for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                assert mismatches == []
+                assert tier.stats.queries == 6 * 20
+                assert tier.stats.degraded_queries == 0
+        finally:
+            sys.setswitchinterval(interval)
+
+
+@pytest.mark.stress
 class TestCrashRecovery:
     def test_worker_crash_degrades_then_respawns(self, int_corpus):
         store, session, queries = int_corpus
@@ -276,3 +326,26 @@ class TestCrashRecovery:
                 time.sleep(0.05)
             assert tier.stats.shard_respawns == 1
             assert tier.topk_batch(queries, 8) == want
+
+    def test_replica_crash_keeps_reads_exact(self, int_corpus):
+        """With two replicas per partition a SIGKILL costs nothing: reads
+        re-route to the sibling replica — exact, not degraded — while the
+        pool respawns the dead one."""
+        store, session, queries = int_corpus
+        with ServingTier(store.root, "int", partitions=2, replicas=2) as tier:
+            want = session.topk_batch(queries, 8)
+            assert tier.topk_batch(queries, 8) == want
+            victim = next(r for r in tier._replicas if r.partition == 0)
+            process = victim.process
+            os.kill(process.pid, signal.SIGKILL)
+            process.join(timeout=10)
+            for _ in range(4):
+                assert tier.topk_batch(queries, 8) == want
+            assert tier.stats.degraded_queries == 0
+            deadline = time.monotonic() + 30.0
+            while tier.live_followers < 4:
+                assert time.monotonic() < deadline, "respawn never completed"
+                time.sleep(0.05)
+            assert tier.stats.follower_respawns == 1
+            assert tier.topk_batch(queries, 8) == want
+            assert tier.stats.degraded_queries == 0

@@ -101,6 +101,27 @@ class TestDeltaRecords:
         assert np.allclose(loaded.matrix, retrofitter.embeddings.matrix)
         assert isinstance(index, IVFIndex)
 
+    def test_cached_versions_follow_appends_compactions_and_resaves(
+        self, stream
+    ):
+        """The per-handle version cache never serves a superseded header:
+        a second handle, warmed before every change, sees each one."""
+        dataset, retrofitter, store = stream
+        watcher = EmbeddingStore(store.root)
+        assert (watcher.base_version("rn"), watcher.latest_version("rn")) == (0, 0)
+        store.append_embedding_set_delta("rn", apply_one(dataset, retrofitter, 1))
+        assert (watcher.base_version("rn"), watcher.latest_version("rn")) == (0, 1)
+        store.append_embedding_set_delta("rn", apply_one(dataset, retrofitter, 2))
+        store.compact_embedding_set("rn")
+        assert (watcher.base_version("rn"), watcher.latest_version("rn")) == (2, 2)
+        store.save_embedding_set("rn", retrofitter.embeddings, version=7)
+        assert (watcher.base_version("rn"), watcher.latest_version("rn")) == (7, 7)
+        store.save_embedding_set("rn", retrofitter.embeddings)
+        assert (watcher.base_version("rn"), watcher.latest_version("rn")) == (0, 0)
+        store.delete_artifact("rn")
+        with pytest.raises(StoreFormatError):
+            watcher.latest_version("rn")
+
     def test_row_count_preserving_delta_still_evolves_the_index(self, stream):
         """Regression: a delta that only moves existing vectors (a new link
         row between existing values — no values added or removed) keeps the
