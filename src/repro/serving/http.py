@@ -427,19 +427,21 @@ class HTTPServingFront:
                     status, payload, extra = await self._dispatch(
                         method, path, headers, body, writer
                     )
+                    # logged before the response is written: a client
+                    # holding its response can always see its event
+                    self._events.emit(
+                        "access",
+                        client=headers.get("x-client-id", peer_label),
+                        method=method,
+                        path=path,
+                        status=status,
+                        ms=round((time.perf_counter() - started) * 1000.0, 3),
+                    )
                     await self._respond(
                         writer, status, payload, keep_alive, extra
                     )
                 finally:
                     self._busy.discard(task)
-                self._events.emit(
-                    "access",
-                    client=headers.get("x-client-id", peer_label),
-                    method=method,
-                    path=path,
-                    status=status,
-                    ms=round((time.perf_counter() - started) * 1000.0, 3),
-                )
                 if not keep_alive:
                     return
         except (

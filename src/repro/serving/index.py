@@ -4,9 +4,16 @@ Every similarity lookup in the seed code base was a full ``O(n·d)`` scan
 followed by a full ``argsort`` of the whole vocabulary.  This module provides
 the serving-grade replacement:
 
-* :class:`FlatIndex` — exact brute force, but vectorised over query batches
-  and using ``np.argpartition`` (linear-time selection) instead of a full
-  sort, so the per-query cost is ``O(n·d + n + k·log k)``.
+* :class:`FlatIndex` — exact brute force, vectorised over query batches.
+  Its selection (:func:`topk_columns`) works on the ``(rows, batch)``
+  scores the GEMM produces, untransposed: one pass takes per-block maxima
+  (blocks of ``_BLOCK`` rows), and when a query's ``k``-th largest block
+  maximum is strictly above its ``(k+1)``-th, the exact top-``k`` lies in
+  those ``k`` blocks, so only their ``k·_BLOCK`` candidates are ranked.
+  A query whose block maxima tie at the bound, hold a NaN, or whose index
+  is too narrow for the bound to pay is ranked over all rows with
+  ``np.argpartition`` (linear-time selection).  Either way the answer is
+  the full sort on ``(score desc, row id asc)``, bit for bit.
 * :class:`IVFIndex` — an inverted-file index: a spherical k-means coarse
   quantiser splits the rows into ``n_cells`` cells; a query only scores the
   rows of the ``nprobe`` cells whose centroids are most similar to it.  With
@@ -57,29 +64,109 @@ _EPSILON = 1e-12
 
 METRICS = ("cosine", "dot")
 
+#: Rows per block of the block-max bound in :func:`topk_columns`.
+_BLOCK = 128
+#: The bound is tried only when the rows outnumber the ``k·_BLOCK``
+#: candidates it would rank at least this many times.
+_PRUNE_RATIO = 4
+
 
 def topk_descending(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` largest entries per row, in descending order.
 
     Works on a 1-D vector (returns shape ``(k,)``) or a 2-D batch of score
-    rows (returns shape ``(batch, k)``).  Uses ``argpartition`` to select the
-    top ``k`` in linear time and only sorts those ``k`` entries.
+    rows (returns shape ``(batch, k)``); the selection itself is
+    :func:`topk_columns` on the transposed view, so nothing is copied.
 
-    Ties are broken deterministically by ascending index — both *within*
-    the returned ordering and at the selection boundary (among equal
-    ``k``-th scores, the lowest indices win).  ``argpartition`` alone picks
+    Block bound: per-block maxima (``_BLOCK`` entries a block) are the
+    one full-width pass.  When a row's ``k``-th largest block maximum is
+    strictly above its ``(k+1)``-th, only the ``k`` winning blocks are
+    ranked.  A row falls back to ranking every entry when its block maxima
+    tie at the bound or hold a NaN, or when rows are shorter than
+    ``_PRUNE_RATIO·k·_BLOCK``.  Neither path changes the answer.
+
+    Tie contract: the result is exactly the first ``k`` entries of a full
+    sort on ``(score descending, index ascending)``.  Ties are broken by
+    ascending index both *within* the returned ordering and at the
+    selection boundary (among equal ``k``-th scores, the lowest indices
+    win), and NaN ranks below every number.  ``argpartition`` alone picks
     an arbitrary subset of boundary ties, which would make per-shard top-k
     results impossible to merge into exactly the single-index answer.
     """
     scores = np.asarray(scores)
-    single = scores.ndim == 1
-    if single:
-        scores = scores[None, :]
-    batch, n = scores.shape
+    if scores.ndim == 1:
+        return topk_columns(scores[:, None], k)[0]
+    return topk_columns(scores.T, k)
+
+
+def topk_columns(scores: np.ndarray, k: int) -> np.ndarray:
+    """Top-``k`` row indices of every column of an ``(n, batch)`` matrix.
+
+    The layout :meth:`VectorIndex._score_rows` produces: one column per
+    query, any strides.  Returns shape ``(batch, k')`` with
+    ``k' = min(k, n)`` under the tie contract of :func:`topk_descending`.
+
+    The block bound: split the ``n`` rows into blocks of ``_BLOCK`` and
+    take each block's maximum per column — the only full-width pass.  Let
+    ``t`` be a column's ``k``-th largest block maximum.  When its
+    ``(k+1)``-th largest is *strictly* below ``t``, the chosen ``k``
+    blocks hold at least ``k`` scores ``>= t`` and every other score is
+    ``< t``, so the exact top-``k`` — boundary ties included — lies in
+    those blocks; only their ``k·_BLOCK`` candidates are ranked, in
+    ascending row order so the index tie-break carries over unchanged.
+
+    A column falls back to ranking all ``n`` rows when its block maxima
+    tie at the bound, when a block maximum is NaN, or when the whole
+    matrix has fewer than ``_PRUNE_RATIO·k·_BLOCK`` rows (then the
+    candidates would be no small share of the rows).
+    """
+    n, batch = scores.shape
     k = min(int(k), n)
     if k <= 0:
-        empty = np.empty((batch, 0), dtype=np.int64)
-        return empty[0] if single else empty
+        return np.empty((batch, 0), dtype=np.int64)
+    if n < _PRUNE_RATIO * k * _BLOCK:
+        return _topk_rows(np.ascontiguousarray(scores.T), k)
+    maxima = _block_maxima(scores)
+    order = np.argpartition(-maxima, k, axis=0)
+    columns = np.arange(batch)
+    bound = maxima[order[:k], columns].min(axis=0)
+    pruned = maxima[order[k], columns] < bound
+    pruned &= ~np.isnan(maxima).any(axis=0)
+
+    result = np.empty((batch, k), dtype=np.int64)
+    fast = np.flatnonzero(pruned)
+    if fast.size:
+        blocks = np.sort(order[:k, fast], axis=0).T
+        ids = (blocks[:, :, None] * _BLOCK + np.arange(_BLOCK)).reshape(
+            fast.size, k * _BLOCK
+        )
+        candidates = scores[np.minimum(ids, n - 1), fast[:, None]]
+        # rows past a short tail block: -inf never reaches the top k,
+        # since k candidates score >= bound > the (k+1)-th block maximum
+        candidates[ids >= n] = -np.inf
+        result[fast] = np.take_along_axis(ids, _topk_rows(candidates, k), axis=1)
+    slow = np.flatnonzero(~pruned)
+    if slow.size:
+        result[slow] = _topk_rows(scores.T[slow], k)
+    return result
+
+
+def _block_maxima(scores: np.ndarray) -> np.ndarray:
+    """Per-column maxima of each ``_BLOCK``-row block (and of the short
+    tail block), shape ``(blocks, batch)``; NaN propagates."""
+    n, batch = scores.shape
+    full = n - n % _BLOCK
+    maxima = scores[:full].reshape(full // _BLOCK, _BLOCK, batch).max(axis=1)
+    if full < n:
+        maxima = np.vstack((maxima, scores[full:].max(axis=0)))
+    return maxima
+
+
+def _topk_rows(scores: np.ndarray, k: int) -> np.ndarray:
+    """Full-width tie-stable top-``k`` of each row of ``(batch, n)``,
+    ``0 < k <= n``.  Uses ``argpartition`` to select the top ``k`` in
+    linear time and only sorts those ``k`` entries."""
+    batch, n = scores.shape
     rows = np.arange(batch)[:, None]
     if k < n:
         part = np.argpartition(-scores, k - 1, axis=1)[:, :k]
@@ -92,13 +179,24 @@ def topk_descending(scores: np.ndarray, k: int) -> np.ndarray:
         tie_rank = np.cumsum(tied, axis=1) - 1
         selected = above | (tied & (tie_rank < need))
         # nonzero walks row-major, so columns come out ascending per row
-        cols = np.nonzero(selected)[1].reshape(batch, k)
+        cols = np.nonzero(selected)[1]
+        if cols.size != batch * k:
+            # a NaN boundary (fewer than k non-NaN scores) selects nothing
+            # in its row; NaN ranks last, so a stable full sort of those
+            # rows is the contract itself
+            nan_bound = np.isnan(boundary[:, 0])
+            result = np.empty((batch, k), dtype=np.int64)
+            result[nan_bound] = np.argsort(
+                -scores[nan_bound], axis=1, kind="stable"
+            )[:, :k]
+            result[~nan_bound] = _topk_rows(scores[~nan_bound], k)
+            return result
+        cols = cols.reshape(batch, k)
     else:
         cols = np.broadcast_to(np.arange(n), scores.shape)
     # stable sort over ascending-index columns: equal scores keep index order
     order = np.argsort(-scores[rows, cols], axis=1, kind="stable")
-    result = cols[rows, order].astype(np.int64)
-    return result[0] if single else result
+    return cols[rows, order].astype(np.int64)
 
 
 class VectorIndex(ABC):
@@ -259,8 +357,10 @@ class VectorIndex(ABC):
             return products
         query_norms = np.linalg.norm(queries, axis=1)
         denom = row_norms[:, None] * (query_norms[None, :] + _EPSILON)
-        denom[denom < _EPSILON] = _EPSILON
-        return products / denom
+        # in place, same operations in the same order: bitwise the
+        # out-of-place formula, without two more full-width temporaries
+        np.maximum(denom, _EPSILON, out=denom)
+        return np.divide(products, denom, out=products)
 
     def query(self, vector: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Top-``k`` row indices and scores for one query vector."""
@@ -302,16 +402,15 @@ class FlatIndex(VectorIndex):
                 np.empty((batch, 0), dtype=np.int64),
                 np.empty((batch, 0), dtype=np.float64),
             )
-        scores = self._score_rows(self.matrix, self._row_norms, queries).T
+        # (rows, batch), the GEMM's own layout: selection never transposes
+        scores = self._score_rows(self.matrix, self._row_norms, queries)
         if self.has_tombstones:
-            scores[:, ~self._active] = -np.inf
-        indices = topk_descending(scores, k)
-        rows = np.arange(queries.shape[0])[:, None]
-        top_scores = scores[rows, indices]
+            scores[~self._active] = -np.inf
+        indices = topk_columns(scores, k)
+        top_scores = scores[indices, np.arange(queries.shape[0])[:, None]]
         if self.has_tombstones:
             # a tombstoned row can only surface when k exceeds the number
             # of active rows; mark it like the IVF padding does
-            indices = indices.copy()
             indices[~np.isfinite(top_scores)] = -1
         return indices, top_scores
 

@@ -18,13 +18,18 @@ import numpy as np
 import pytest
 
 from repro.datasets import generate_tmdb
+from repro.db.database import Database, build_table_schema
 from repro.db.delta import DatabaseDelta
+from repro.db.types import ColumnType
 from repro.errors import ExtractionError, ServingError
 from repro.retrofit.combine import TextValueEmbeddingSet
+from repro.retrofit.extraction import extract_text_values
 from repro.retrofit.hyperparams import RetroHyperparameters
 from repro.retrofit.pipeline import RetroPipeline
+from repro.serving import index as index_module
 from repro.serving import (
     EmbeddingStore,
+    FlatIndex,
     RateLimiter,
     ServingSession,
     ServingTier,
@@ -130,6 +135,89 @@ class TestShardedEqualsSingleIndex:
         with ShardedServingTier(store.root, "int", n_shards=2) as tier:
             with pytest.raises(ServingError, match="no writer side"):
                 tier.submit(DatabaseDelta())
+
+
+@pytest.fixture(scope="module")
+def wide_corpus(tmp_path_factory):
+    """20,000 values whose integer vectors come in ~2 exact copies each.
+
+    Wide enough that each ~10k-row partition's flat scan tries the
+    block-max bound of ``topk_columns`` for ``k <= 19``; tie-heavy enough
+    that some queries prune and others fall back to ranking every row of
+    the partition.
+    """
+    database = Database("wide")
+    database.create_table(build_table_schema(
+        "items", [("id", ColumnType.INTEGER), ("text", ColumnType.TEXT)],
+        primary_key="id",
+    ))
+    database.insert_many(
+        "items", ({"id": i, "text": f"item {i}"} for i in range(20_000))
+    )
+    extraction = extract_text_values(database)
+    rng = np.random.default_rng(11)
+    distinct = rng.integers(-3, 4, size=(len(extraction) // 2, 8)).astype(
+        np.float64
+    )
+    matrix = distinct[rng.integers(0, distinct.shape[0], size=len(extraction))]
+    embeddings = TextValueEmbeddingSet(extraction, matrix, name="WIDE")
+    store = EmbeddingStore(tmp_path_factory.mktemp("wide") / "store")
+    store.save_embedding_set("wide", embeddings)
+    queries = distinct[rng.integers(0, distinct.shape[0], size=32)]
+    queries[7] = 0.0  # every score ties at zero
+    return store, embeddings, queries
+
+
+class TestShardedEqualsSingleIndexAtPruningWidth:
+    def test_two_partitions_bitwise_equal_flat_index(self, wide_corpus):
+        store, embeddings, queries = wide_corpus
+        records = embeddings.extraction.records
+        rows = embeddings.scope_rows(None)
+        index = FlatIndex(embeddings.matrix)
+        with ShardedServingTier(
+            store.root, "wide", n_shards=2, index_kind="flat"
+        ) as tier:
+            for k in (1, 2, 10):
+                ids, scores = index.query_batch(queries, k)
+                want = [
+                    [
+                        (records[rows[i]].category, records[rows[i]].text,
+                         float(score))
+                        for i, score in zip(row_ids, row_scores)
+                    ]
+                    for row_ids, row_scores in zip(ids, scores)
+                ]
+                got = tier.topk_batch(queries, k)
+                assert got == want
+                assert np.array(
+                    [[score for _, _, score in row] for row in got]
+                ).tobytes() == scores.tobytes()
+
+    def test_partition_reads_take_both_selection_paths(
+        self, wide_corpus, monkeypatch
+    ):
+        """The queries above exercise the pruned path and the fallback on
+        a partition, not only one of them."""
+        _, embeddings, queries = wide_corpus
+        records = embeddings.extraction.records
+        rows = embeddings.scope_rows(None)
+        owned = [
+            row for row in rows
+            if stable_shard(records[row].category, records[row].text, 2) == 0
+        ]
+        index = FlatIndex(embeddings.matrix[owned])
+        widths = []
+        full_rank = index_module._topk_rows
+
+        def spy(scores, k):
+            widths.append((k, scores.shape[1]))
+            return full_rank(scores, k)
+
+        monkeypatch.setattr(index_module, "_topk_rows", spy)
+        for k in (1, 2, 10):
+            index.query_batch(queries, k)
+        assert any(width == k * index_module._BLOCK for k, width in widths)
+        assert any(width == len(owned) for _, width in widths)
 
 
 class TestShardedIndexKinds:
