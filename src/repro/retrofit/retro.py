@@ -70,6 +70,65 @@ class SolverReport:
         return self.cold_runtime_seconds / self.runtime_seconds
 
 
+class _RelationalTerm:
+    """The RO/RN relational numerator term, over all rows or a row slice.
+
+    One formula for both solvers (Eq. 10 + 15 for RO, Eq. 11 + 16 for RN):
+
+        A·M − W·(T·M)
+
+    ``T`` is the ``(relations, n)`` 0/1 indicator of each relation's
+    targets, so ``T·M`` stacks the sum of every relation's target
+    vectors; ``W`` is ``(n, relations)``, each node's dissimilarity
+    weight per relation.  ``A`` is the γ-weighted relation matrix — for
+    RO plus the related pairs the complement of Eq. 15 must not subtract.
+    All three are sparse, so an iteration is three sparse products, never
+    a loop over relations.
+
+    The all-rows term recomputes ``T·M`` on every call.  A slice
+    (:meth:`restrict`) cuts ``A`` and ``W`` to its rows once per solve —
+    csr row selection copies, so it stays out of the loop — and keeps
+    ``T·M`` as a running sum: only the slice's rows move, so
+    :meth:`advance` costs ``O(nnz(T[:, rows])·d)`` and a whole iteration
+    stays proportional to the slice, not the extraction.
+    """
+
+    def __init__(self, related, weights, targets) -> None:
+        self.related = related
+        self.weights = weights
+        self.targets = targets
+        self._rows: np.ndarray | None = None
+        self._moving: sparse.csr_matrix | None = None
+        self._sums: np.ndarray | None = None
+
+    def restrict(self, rows: np.ndarray) -> "_RelationalTerm":
+        """The same term for ``rows`` only, with running target sums."""
+        sliced = _RelationalTerm(
+            self.related[rows], self.weights[rows], self.targets
+        )
+        sliced._rows = rows
+        sliced._moving = self.targets[:, rows].tocsr()
+        return sliced
+
+    def __call__(self, matrix: np.ndarray) -> np.ndarray:
+        relational = self.related @ matrix
+        if self.weights.shape[1]:
+            if self._rows is None:
+                sums = self.targets @ matrix
+            else:
+                if self._sums is None:
+                    self._sums = self.targets @ matrix
+                sums = self._sums
+            relational = relational - self.weights @ sums
+        return relational
+
+    def advance(self, previous: np.ndarray, updated: np.ndarray) -> None:
+        """Fold one iteration's moves into a slice's running target sums."""
+        if self._sums is not None:
+            rows = self._rows
+            self._sums += self._moving @ (updated[rows] - previous[rows])
+
+
 class RetroSolver:
     """Relational retrofitting over an extraction result and a base matrix ``W0``."""
 
@@ -106,7 +165,6 @@ class RetroSolver:
             )
         self._gamma_matrix_symmetric: sparse.csr_matrix | None = None
         self._gamma_matrix_directed: sparse.csr_matrix | None = None
-        self._adjacency: list[sparse.csr_matrix | None] = []
         self._source_indicator: list[np.ndarray] = []
         self._out_degree_vec: list[np.ndarray] = []
         self._build_sparse_structures()
@@ -133,10 +191,6 @@ class RetroSolver:
             sym_cols.append(relation.target_rows)
             sym_vals.append(gamma_here + gamma_inverse)
             dir_vals.append(gamma_here)
-
-            # per-relation adjacency matrices are built lazily (see
-            # _relation_adjacency): only the RO delta term needs them
-            self._adjacency.append(None)
             indicator = np.zeros(n, dtype=np.float64)
             indicator[relation.source_indices] = 1.0
             self._source_indicator.append(indicator)
@@ -166,17 +220,6 @@ class RetroSolver:
             for index in range(len(self.directed))
         ]
 
-    def _relation_adjacency(self, index: int) -> sparse.csr_matrix:
-        """The (lazily built, cached) 0/1 adjacency of one directed relation."""
-        if self._adjacency[index] is None:
-            relation = self.directed[index]
-            ones = np.ones(len(relation), dtype=np.float64)
-            self._adjacency[index] = sparse.csr_matrix(
-                (ones, (relation.source_rows, relation.target_rows)),
-                shape=(self.n_values, self.n_values),
-            )
-        return self._adjacency[index]
-
     # ------------------------------------------------------------------ #
     # public entry points
     # ------------------------------------------------------------------ #
@@ -203,26 +246,16 @@ class RetroSolver:
         maintenance fast path.
         """
         if method in ("series", "rn", "RN"):
-            return self.solve_series(
-                iterations=iterations or 10,
-                track_loss=track_loss,
-                tolerance=tolerance,
-                initial_matrix=initial_matrix,
-                frozen_rows=frozen_rows,
-                W_init=W_init,
-                active_rows=active_rows,
-            )
-        if method in ("optimization", "ro", "RO"):
-            return self.solve_optimization(
-                iterations=iterations or 20,
-                track_loss=track_loss,
-                tolerance=tolerance,
-                initial_matrix=initial_matrix,
-                frozen_rows=frozen_rows,
-                W_init=W_init,
-                active_rows=active_rows,
-            )
-        raise RetrofitError(f"unknown solver method {method!r}")
+            key, default = "RN", 10
+        elif method in ("optimization", "ro", "RO"):
+            key, default = "RO", 20
+        else:
+            raise RetrofitError(f"unknown solver method {method!r}")
+        start = W_init if W_init is not None else initial_matrix
+        return self._solve(
+            key, iterations or default, track_loss, tolerance, start,
+            frozen_rows, active_rows,
+        )
 
     # ------------------------------------------------------------------ #
     # incremental-solve helpers
@@ -330,94 +363,65 @@ class RetroSolver:
         parts = [part for part, on in (("warm", warm), ("subset", rows is not None)) if on]
         return "+".join(parts) if parts else "cold"
 
-    class _SlicedStructures:
-        """Row-subset views and running sums for a subset solve.
-
-        Sliced once per solve (not per iteration): csr row selection
-        copies data, so hoisting it out of the iteration loop matters for
-        the incremental path.  The per-relation dissimilarity terms are
-        collapsed into stacked matrices so one iteration performs two
-        small matmuls instead of a Python loop over every relation, and
-        the per-relation target sums are maintained incrementally across
-        iterations — only active rows change, so each update costs
-        ``O(|targets ∩ active|·d)``, keeping the whole iteration
-        proportional to the active set instead of the full extraction.
-        """
-
-        def __init__(
-            self, solver: "RetroSolver", rows: np.ndarray, relation_indices, node_weights
-        ) -> None:
-            self.gamma_symmetric = solver._gamma_matrix_symmetric[rows]
-            self.gamma_directed = solver._gamma_matrix_directed[rows]
-            self._solver = solver
-            self._rows = rows
-            #: Relations with a non-zero dissimilarity term, in stack order.
-            self.used = list(relation_indices)
-            #: ``(len(used), |rows|)`` per-node dissimilarity weights.
-            self.weight_stack = (
-                np.vstack([node_weights[index][rows] for index in self.used])
-                if self.used
-                else np.zeros((0, rows.size))
+    # ------------------------------------------------------------------ #
+    # the relational term: one stacked formula, all rows or a row slice
+    # ------------------------------------------------------------------ #
+    def _relational_term(self, method: str) -> _RelationalTerm:
+        """The cached all-rows relational term of ``"RO"`` or ``"RN"``."""
+        key = f"_relational_term_{method}"
+        if not hasattr(self, key):
+            if method == "RO":
+                used = [
+                    index
+                    for index in range(len(self.directed))
+                    if self._delta_pair_constants[index] != 0.0
+                ]
+                weights = [
+                    self._delta_pair_constants[index] * self._source_indicator[index]
+                    for index in used
+                ]
+                # the complement of Eq. 15 excludes each source's related
+                # targets: add them back with the same constant
+                related = self._gamma_matrix_symmetric
+                if used:
+                    vals = np.concatenate([
+                        np.full(
+                            len(self.directed[index]),
+                            self._delta_pair_constants[index],
+                        )
+                        for index in used
+                    ])
+                    srcs = np.concatenate(
+                        [self.directed[index].source_rows for index in used]
+                    )
+                    dsts = np.concatenate(
+                        [self.directed[index].target_rows for index in used]
+                    )
+                    related = related + sparse.csr_matrix(
+                        (vals, (srcs, dsts)), shape=(self.n_values, self.n_values)
+                    )
+            else:
+                used = [
+                    index
+                    for index, node in enumerate(self.weights.delta_rn_node)
+                    if node.any()
+                ]
+                weights = [self.weights.delta_rn_node[index] for index in used]
+                related = self._gamma_matrix_directed
+            weights = sparse.csr_matrix(
+                np.vstack(weights).T if weights else np.zeros((self.n_values, 0))
             )
-            self._target_stack: np.ndarray | None = None
-            # concatenated (targets ∩ rows) of every used relation plus the
-            # stack row each chunk belongs to, for one-shot advance()
-            inters = [
-                np.intersect1d(
-                    solver.directed[index].target_indices, rows, assume_unique=True
-                )
-                for index in self.used
-            ]
-            self._inter_rows = (
-                np.concatenate(inters) if inters else np.empty(0, np.int64)
+            members = [self.directed[index].target_indices for index in used]
+            targets = sparse.csr_matrix(
+                (
+                    np.ones(sum(member.size for member in members)),
+                    np.concatenate(members) if members else np.empty(0, np.int64),
+                    np.cumsum([0] + [member.size for member in members]),
+                ),
+                shape=(len(used), self.n_values),
             )
-            self._inter_segments = (
-                np.concatenate(
-                    [np.full(inter.size, pos, dtype=np.int64)
-                     for pos, inter in enumerate(inters)]
-                )
-                if inters
-                else np.empty(0, np.int64)
-            )
-            self._combined_adjacency: sparse.csr_matrix | None = None
-
-        def target_stack(self, matrix: np.ndarray) -> np.ndarray:
-            """``(len(used), d)`` — Σ of target vectors per used relation."""
-            if self._target_stack is None:
-                self._target_stack = np.vstack([
-                    matrix[self._solver.directed[index].target_indices].sum(axis=0)
-                    for index in self.used
-                ]) if self.used else np.zeros((0, matrix.shape[1]))
-            return self._target_stack
-
-        def combined_adjacency(self, constants) -> sparse.csr_matrix:
-            """``Σ_r c_r · A_r`` restricted to the active rows (RO only)."""
-            if self._combined_adjacency is None:
-                n = self._solver.n_values
-                parts = []
-                for index in self.used:
-                    relation = self._solver.directed[index]
-                    parts.append((
-                        np.full(len(relation), constants[index]),
-                        relation.source_rows,
-                        relation.target_rows,
-                    ))
-                if parts:
-                    vals = np.concatenate([p[0] for p in parts])
-                    srcs = np.concatenate([p[1] for p in parts])
-                    dsts = np.concatenate([p[2] for p in parts])
-                    combined = sparse.csr_matrix((vals, (srcs, dsts)), shape=(n, n))
-                else:
-                    combined = sparse.csr_matrix((n, n))
-                self._combined_adjacency = combined[self._rows]
-            return self._combined_adjacency
-
-        def advance(self, previous: np.ndarray, updated: np.ndarray) -> None:
-            """Fold one iteration's active-row changes into the target sums."""
-            if self._target_stack is None or not self._inter_rows.size:
-                return
-            deltas = updated[self._inter_rows] - previous[self._inter_rows]
-            np.add.at(self._target_stack, self._inter_segments, deltas)
+            setattr(self, key, _RelationalTerm(related, weights, targets))
+        return getattr(self, key)
 
     # ------------------------------------------------------------------ #
     # single full-matrix steps (the incremental path's residual check)
@@ -452,91 +456,27 @@ class RetroSolver:
             )
         return self._ro_denominator_cache
 
-    def _full_stacks(self, method: str):
-        """Cached ``(used, weight_stack, combined_adjacency)`` for full steps."""
-        key = f"_full_stacks_{method}"
-        if not hasattr(self, key):
-            if method == "RO":
-                used = [
-                    index
-                    for index in range(len(self.directed))
-                    if self._delta_pair_constants[index] != 0.0
-                ]
-                weights = [
-                    self._delta_pair_constants[index] * self._source_indicator[index]
-                    for index in used
-                ]
-                combined = None
-                if used:
-                    vals = np.concatenate([
-                        np.full(
-                            len(self.directed[index]),
-                            self._delta_pair_constants[index],
-                        )
-                        for index in used
-                    ])
-                    srcs = np.concatenate(
-                        [self.directed[index].source_rows for index in used]
-                    )
-                    dsts = np.concatenate(
-                        [self.directed[index].target_rows for index in used]
-                    )
-                    combined = sparse.csr_matrix(
-                        (vals, (srcs, dsts)), shape=(self.n_values, self.n_values)
-                    )
-            else:
-                used = [
-                    index
-                    for index, node in enumerate(self.weights.delta_rn_node)
-                    if node.any()
-                ]
-                weights = [self.weights.delta_rn_node[index] for index in used]
-                combined = None
-            stack = (
-                np.vstack(weights)
-                if weights
-                else np.zeros((0, self.n_values))
-            )
-            setattr(self, key, (used, stack, combined))
-        return getattr(self, key)
-
-    def _target_stack_for(self, used, matrix: np.ndarray) -> np.ndarray:
-        if not used:
-            return np.zeros((0, matrix.shape[1]))
-        return np.vstack([
-            matrix[self.directed[index].target_indices].sum(axis=0)
-            for index in used
-        ])
-
     def full_step(self, matrix: np.ndarray, method: str = "series") -> np.ndarray:
         """One full Jacobi update step of the chosen solver, from ``matrix``.
 
-        Used by incremental maintenance as a residual check: after a
-        subset solve, one full step measures how far *every* row still
-        wants to move — rows past the tolerance join the next subset
-        round.  The dissimilarity terms run in stacked form (one matmul),
-        so a step costs far less than an iteration of the naive loop.
+        Exactly one iteration of a cold solve.  Incremental maintenance
+        uses it as a residual check: after a subset solve, one full step
+        measures how far *every* row still wants to move — rows past the
+        tolerance join the next subset round.
         """
+        method = "RO" if method in ("optimization", "ro", "RO") else "RN"
         matrix = np.asarray(matrix, dtype=np.float64)
-        if method in ("optimization", "ro", "RO"):
-            used, stack, combined = self._full_stacks("RO")
-            relational = self._gamma_matrix_symmetric @ matrix
-            if used:
-                targets = self._target_stack_for(used, matrix)
-                relational = relational - (
-                    stack.T @ targets - combined @ matrix
-                )
-            numerator = self._cached_base_term() + relational
-            updated = numerator / self._cached_ro_denominator()[:, None]
-            return self._repair_rows(updated, matrix)
-        used, stack, _ = self._full_stacks("RN")
-        relational = self._gamma_matrix_directed @ matrix
-        if used:
-            targets = self._target_stack_for(used, matrix)
-            relational = relational - stack.T @ targets
-        numerator = self._cached_base_term() + relational
-        updated = self._normalise(numerator)
-        return self._repair_rows(updated, matrix)
+        numerator = self._cached_base_term() + self._relational_term(method)(matrix)
+        return self._repair_rows(self._step(method, numerator, None), matrix)
+
+    def _step(self, method: str, numerator: np.ndarray, rows) -> np.ndarray:
+        """Eq. 10 divides by the RO denominator; Eq. 11 renormalises."""
+        if method == "RN":
+            return self._normalise(numerator)
+        denominator = self._cached_ro_denominator()
+        if rows is not None:
+            denominator = denominator[rows]
+        return numerator / denominator[:, None]
 
     def residual_shift(self, matrix: np.ndarray, method: str = "series") -> np.ndarray:
         """Per-row relative movement of one more full step from ``matrix``."""
@@ -544,69 +484,6 @@ class RetroSolver:
         norms = np.linalg.norm(matrix, axis=1)
         safe = np.where(norms < _EPSILON, 1.0, norms)
         return np.linalg.norm(stepped - matrix, axis=1) / safe
-
-    def _sliced_for_ro(self, rows: np.ndarray) -> "_SlicedStructures":
-        # single source of the used-relation list and weight rows: the
-        # cached full stacks (also used by full_step's residual checks)
-        used, stack, _ = self._full_stacks("RO")
-        weights = {index: stack[position] for position, index in enumerate(used)}
-        return self._SlicedStructures(self, rows, used, weights)
-
-    def _sliced_for_rn(self, rows: np.ndarray) -> "_SlicedStructures":
-        used, stack, _ = self._full_stacks("RN")
-        weights = {index: stack[position] for position, index in enumerate(used)}
-        return self._SlicedStructures(self, rows, used, weights)
-
-    def _relational_term_ro(
-        self,
-        matrix: np.ndarray,
-        rows: np.ndarray | None,
-        sliced: "_SlicedStructures | None" = None,
-    ) -> np.ndarray:
-        """The RO relational numerator term (Eq. 10 + Eq. 15), per row subset."""
-        if sliced is not None:
-            relational = sliced.gamma_symmetric @ matrix
-            if sliced.used:
-                relational = relational - (
-                    sliced.weight_stack.T @ sliced.target_stack(matrix)
-                    - sliced.combined_adjacency(self._delta_pair_constants) @ matrix
-                )
-            return relational
-        relational = self._gamma_matrix_symmetric @ matrix
-        for index, relation in enumerate(self.directed):
-            constant = self._delta_pair_constants[index]
-            if constant == 0.0:
-                continue
-            target_sum = matrix[relation.target_indices].sum(axis=0)
-            indicator = self._source_indicator[index]
-            adjacency = self._relation_adjacency(index)
-            relational = relational - constant * (
-                indicator[:, None] * target_sum[None, :] - adjacency @ matrix
-            )
-        return relational
-
-    def _relational_term_rn(
-        self,
-        matrix: np.ndarray,
-        rows: np.ndarray | None,
-        sliced: "_SlicedStructures | None" = None,
-    ) -> np.ndarray:
-        """The RN relational numerator term (Eq. 11 + Eq. 16), per row subset."""
-        if sliced is not None:
-            relational = sliced.gamma_directed @ matrix
-            if sliced.used:
-                relational = relational - (
-                    sliced.weight_stack.T @ sliced.target_stack(matrix)
-                )
-            return relational
-        relational = self._gamma_matrix_directed @ matrix
-        for index, relation in enumerate(self.directed):
-            delta_node = self.weights.delta_rn_node[index]
-            if not delta_node.any():
-                continue
-            target_sum = matrix[relation.target_indices].sum(axis=0)
-            relational = relational - delta_node[:, None] * target_sum[None, :]
-        return relational
 
     def _starting_matrix(
         self, initial_matrix: np.ndarray | None, normalise: bool
@@ -650,56 +527,10 @@ class RetroSolver:
         each iteration then costs ``O(nnz(Γ[rows]) + |rows|·d)`` instead of
         touching the whole matrix.
         """
-        start = time.perf_counter()
-        if W_init is not None:
-            initial_matrix = W_init
-        matrix = self._starting_matrix(initial_matrix, normalise=False)
-        frozen_reference = matrix.copy()
-        rows = self._resolve_active(active_rows, frozen_rows)
-        safe_denominator = self._cached_ro_denominator()
-        base_term = self._cached_base_term()
-        shift_history: list[float] = []
-        loss_history: list[float] = []
-        if track_loss:
-            loss_history.append(self._loss(matrix))
-        performed = 0
-        converged = False
-        sliced = None if rows is None else self._sliced_for_ro(rows)
-        for _ in range(iterations):
-            relational = self._relational_term_ro(matrix, rows, sliced)
-            if rows is None:
-                numerator = base_term + relational
-                updated = numerator / safe_denominator[:, None]
-            else:
-                numerator = base_term[rows] + relational
-                updated = matrix.copy()
-                updated[rows] = numerator / safe_denominator[rows][:, None]
-            updated = self._repair_rows(updated, matrix)
-            updated = self._apply_frozen(updated, frozen_reference, frozen_rows)
-            changed = updated - matrix if rows is None else updated[rows] - matrix[rows]
-            shift = float(np.max(np.linalg.norm(changed, axis=1), initial=0.0))
-            shift_history.append(shift)
-            if sliced is not None:
-                sliced.advance(matrix, updated)
-            matrix = updated
-            performed += 1
-            if track_loss:
-                loss_history.append(self._loss(matrix))
-            if shift < tolerance:
-                converged = True
-                break
-        report = SolverReport(
-            method="RO",
-            iterations=performed,
-            runtime_seconds=time.perf_counter() - start,
-            converged=converged or performed == iterations,
-            convexity_margin=self.convexity_margin,
-            shift_history=shift_history,
-            loss_history=loss_history,
-            mode=self._solve_mode(initial_matrix is not None, rows),
-            n_active=None if rows is None else int(rows.size),
+        start = W_init if W_init is not None else initial_matrix
+        return self._solve(
+            "RO", iterations, track_loss, tolerance, start, frozen_rows, active_rows
         )
-        return matrix, report
 
     def solve_series(
         self,
@@ -717,52 +548,57 @@ class RetroSolver:
         a warm start resumes the (row-normalised) series from the previous
         solution instead of the normalised ``W0``.
         """
-        start = time.perf_counter()
-        if W_init is not None:
-            initial_matrix = W_init
+        start = W_init if W_init is not None else initial_matrix
+        return self._solve(
+            "RN", iterations, track_loss, tolerance, start, frozen_rows, active_rows
+        )
+
+    def _solve(
+        self, method, iterations, track_loss, tolerance, initial_matrix,
+        frozen_rows, active_rows,
+    ) -> tuple[np.ndarray, SolverReport]:
+        """Jacobi iterations of :meth:`_step`, over all rows or a subset."""
+        began = time.perf_counter()
         rows = self._resolve_active(active_rows, frozen_rows)
-        # a subset solve must leave inactive rows bit-for-bit untouched, so
-        # only the active rows are (re)normalised — a warm start comes from
-        # a previous series solution whose rows are already unit length
-        matrix = self._starting_matrix(initial_matrix, normalise=rows is None)
-        if rows is not None and rows.size:
+        # RN iterates on unit rows.  A subset solve must leave inactive rows
+        # bit-for-bit untouched, so only the active rows are (re)normalised
+        # — a warm start comes from a previous series solution whose rows
+        # are already unit length
+        series = method == "RN"
+        matrix = self._starting_matrix(initial_matrix, series and rows is None)
+        if series and rows is not None and rows.size:
             matrix[rows] = self._normalise(matrix[rows])
         frozen_reference = matrix.copy()
         base_term = self._cached_base_term()
+        term = self._relational_term(method)
+        if rows is not None:
+            base_term = base_term[rows]
+            term = term.restrict(rows)
         shift_history: list[float] = []
-        loss_history: list[float] = []
-        if track_loss:
-            loss_history.append(self._loss(matrix))
-        performed = 0
+        loss_history = [self._loss(matrix)] if track_loss else []
         converged = False
-        sliced = None if rows is None else self._sliced_for_rn(rows)
         for _ in range(iterations):
-            relational = self._relational_term_rn(matrix, rows, sliced)
-            if rows is None:
-                numerator = base_term + relational
-                updated = self._normalise(numerator)
-            else:
-                numerator = base_term[rows] + relational
-                updated = matrix.copy()
-                updated[rows] = self._normalise(numerator)
+            updated = self._step(method, base_term + term(matrix), rows)
+            if rows is not None:
+                stepped, updated = updated, matrix.copy()
+                updated[rows] = stepped
             updated = self._repair_rows(updated, matrix)
             updated = self._apply_frozen(updated, frozen_reference, frozen_rows)
             changed = updated - matrix if rows is None else updated[rows] - matrix[rows]
             shift = float(np.max(np.linalg.norm(changed, axis=1), initial=0.0))
             shift_history.append(shift)
-            if sliced is not None:
-                sliced.advance(matrix, updated)
+            term.advance(matrix, updated)
             matrix = updated
-            performed += 1
             if track_loss:
                 loss_history.append(self._loss(matrix))
             if shift < tolerance:
                 converged = True
                 break
+        performed = len(shift_history)
         report = SolverReport(
-            method="RN",
+            method=method,
             iterations=performed,
-            runtime_seconds=time.perf_counter() - start,
+            runtime_seconds=time.perf_counter() - began,
             converged=converged or performed == iterations,
             convexity_margin=self.convexity_margin,
             shift_history=shift_history,

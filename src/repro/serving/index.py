@@ -13,7 +13,10 @@ the serving-grade replacement:
   A query whose block maxima tie at the bound, hold a NaN, or whose index
   is too narrow for the bound to pay is ranked over all rows with
   ``np.argpartition`` (linear-time selection).  Either way the answer is
-  the full sort on ``(score desc, row id asc)``, bit for bit.
+  the full sort on ``(score desc, row id asc)``, bit for bit.  Copies of
+  one vector, which BLAS may score an ulp apart depending on their place
+  in the product, share one score, so they rank by id at any batch width
+  (:meth:`VectorIndex._select`, also behind exhaustive IVF and NSW).
 * :class:`IVFIndex` — an inverted-file index: a spherical k-means coarse
   quantiser splits the rows into ``n_cells`` cells; a query only scores the
   rows of the ``nprobe`` cells whose centroids are most similar to it.  With
@@ -124,16 +127,87 @@ def topk_columns(scores: np.ndarray, k: int) -> np.ndarray:
     k = min(int(k), n)
     if k <= 0:
         return np.empty((batch, 0), dtype=np.int64)
+    result = np.empty((batch, k), dtype=np.int64)
+    for columns, ids, candidates in _candidate_sets(scores, k, 0.0):
+        best = _topk_rows(candidates, k)
+        result[columns] = best if ids is None else np.take_along_axis(ids, best, 1)
+    return result
+
+
+def _topk_band(
+    scores: np.ndarray, k: int, slack: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`topk_columns`, plus the rows whose scores lie within
+    ``slack`` of each column's ``k``-th.
+
+    ``slack`` holds one tolerance per column.  Returns
+    ``(top, extra)``: ``top`` is ``topk_columns(scores, k)``; ``extra``
+    holds, per column and ascending, the other rows scoring ``>= kth -
+    slack`` (padded with ``-1``), or is ``None`` when no column has any.
+    A column whose scores near the ``k``-th all equal it gets none: exact
+    ties are already settled by id.  The block bound still prunes, but a
+    column takes it only when its ``(k+1)``-th block maximum lies below
+    the ``k``-th by more than the slack, so the ``k`` chosen blocks hold
+    the whole band.
+    """
+    n, batch = scores.shape
+    k = min(int(k), n)
+    top = np.empty((batch, max(k, 0)), dtype=np.int64)
+    if k <= 0:
+        return top, None
+    extras = []
+    for columns, ids, candidates in _candidate_sets(scores, k, slack):
+        best = _topk_rows(candidates, k)
+        top[columns] = best if ids is None else np.take_along_axis(ids, best, 1)
+        kth = candidates[np.arange(columns.size)[:, None], best[:, -1:]]
+        floor = kth - slack[columns][:, None]
+        wide = np.flatnonzero(np.count_nonzero(candidates >= floor, axis=1) > k)
+        if not wide.size:
+            continue
+        sub, kth, floor = candidates[wide], kth[wide], floor[wide]
+        with np.errstate(invalid="ignore"):  # an infinite k-th has no band
+            near = (sub >= floor) & (sub <= 2 * kth - floor) & (sub != kth)
+        keep = (sub >= floor) & (sub > -np.inf) & near.any(axis=1, keepdims=True)
+        keep[np.arange(wide.size)[:, None], best[wide]] = False
+        flagged = _flagged(keep)
+        if ids is not None:
+            rows = ids[wide[:, None], np.maximum(flagged, 0)]
+            flagged = np.where(flagged >= 0, rows, -1)
+        extras.append((columns[wide], flagged))
+    if not any(part.size for _, part in extras):
+        return top, None
+    extra = np.full((batch, max(part.shape[1] for _, part in extras)), -1)
+    for columns, part in extras:
+        extra[columns, : part.shape[1]] = part
+    return top, extra
+
+
+def _flagged(mask: np.ndarray) -> np.ndarray:
+    """Column indices of each row's ``True`` entries, ascending, padded
+    with ``-1`` to the fullest row."""
+    line, at = np.nonzero(mask)
+    counts = np.bincount(line, minlength=mask.shape[0])
+    out = np.full((mask.shape[0], counts.max(initial=0)), -1, dtype=np.int64)
+    out[line, np.arange(line.size) - np.repeat(np.cumsum(counts) - counts, counts)] = at
+    return out
+
+
+def _candidate_sets(scores: np.ndarray, k: int, slack):
+    """The row sets :func:`topk_columns` ranks, as ``(columns, ids,
+    candidate scores)`` groups: columns the block bound prunes (``k``
+    blocks each, ``ids >= n`` scoring ``-inf``) and columns ranked over all
+    ``n`` rows (``ids`` is ``None``: candidates are the rows themselves).
+    ``slack`` widens the bound's margin per column."""
+    n, batch = scores.shape
     if n < _PRUNE_RATIO * k * _BLOCK:
-        return _topk_rows(np.ascontiguousarray(scores.T), k)
+        yield np.arange(batch), None, np.ascontiguousarray(scores.T)
+        return
     maxima = _block_maxima(scores)
     order = np.argpartition(-maxima, k, axis=0)
     columns = np.arange(batch)
     bound = maxima[order[:k], columns].min(axis=0)
-    pruned = maxima[order[k], columns] < bound
+    pruned = maxima[order[k], columns] < bound - slack
     pruned &= ~np.isnan(maxima).any(axis=0)
-
-    result = np.empty((batch, k), dtype=np.int64)
     fast = np.flatnonzero(pruned)
     if fast.size:
         blocks = np.sort(order[:k, fast], axis=0).T
@@ -144,11 +218,10 @@ def topk_columns(scores: np.ndarray, k: int) -> np.ndarray:
         # rows past a short tail block: -inf never reaches the top k,
         # since k candidates score >= bound > the (k+1)-th block maximum
         candidates[ids >= n] = -np.inf
-        result[fast] = np.take_along_axis(ids, _topk_rows(candidates, k), axis=1)
+        yield fast, ids, candidates
     slow = np.flatnonzero(~pruned)
     if slow.size:
-        result[slow] = _topk_rows(scores.T[slow], k)
-    return result
+        yield slow, None, scores.T[slow]
 
 
 def _block_maxima(scores: np.ndarray) -> np.ndarray:
@@ -362,6 +435,93 @@ class VectorIndex(ABC):
         np.maximum(denom, _EPSILON, out=denom)
         return np.divide(products, denom, out=products)
 
+    def _select(
+        self,
+        scores: np.ndarray,
+        k: int,
+        queries: np.ndarray,
+        ids: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Top-``k`` of ``(positions, batch)`` BLAS ``scores``, ties by id.
+
+        BLAS rounding depends on a row's position in the call and on the
+        batch width, so two copies of one vector can score an ulp apart,
+        and which copy ranks first would depend on the batch.  Every
+        column's top ``k`` and each candidate within the rounding bound
+        (:meth:`_slack`) of its ``k``-th score are shortlisted, copies of
+        one vector among them share their highest score
+        (:meth:`_share_copy_scores`), and the answer is the first ``k`` on
+        ``(score desc, row id asc)``.  ``ids`` maps positions to row ids,
+        shape ``(batch, positions)`` (or one row for every query);
+        ``None`` means positions are row ids.
+        """
+        slack = self._slack(queries)
+        top, extra = _topk_band(scores, k, slack)
+        lines = np.arange(top.shape[0])[:, None]
+        if extra is None and ids is None:
+            found = scores[top, lines]
+            with np.errstate(invalid="ignore"):  # -inf - -inf: no pair
+                gaps = found[:, :-1] - found[:, 1:]
+            if not ((gaps > 0) & (gaps <= slack[:, None])).any():
+                return top, found  # no copy can hide: already the answer
+        band = top if extra is None else np.hstack((top, extra))
+        valid = band >= 0
+        position = np.where(valid, band, 0)
+        found = scores[position, lines]
+        found[~valid] = -np.inf
+        rows = position if ids is None else ids[lines % ids.shape[0], position]
+        rows = np.where(valid, rows, np.iinfo(np.int64).max)
+        self._share_copy_scores(rows, found, slack)
+        order = np.lexsort((rows, -found), axis=1)[:, : top.shape[1]]
+        return (
+            np.take_along_axis(rows, order, axis=1),
+            np.take_along_axis(found, order, axis=1),
+        )
+
+    def _slack(self, queries: np.ndarray) -> np.ndarray:
+        """Per query, a bound on how far apart BLAS can round the scores of
+        two copies of one vector: each sum of ``d`` products is within
+        ``d·eps/2`` of the exact one, relative to ``|row|·|query|``, so
+        copies differ by at most ``d·eps`` plus the cosine division's
+        rounding; twice that."""
+        slack = 2 * self.dimension * float(np.finfo(self.matrix.dtype).eps)
+        if self.metric == "cosine":
+            return np.full(queries.shape[0], slack)
+        largest = float(self._row_norms.max(initial=0.0))
+        return slack * largest * np.linalg.norm(queries, axis=1)
+
+    def _share_copy_scores(
+        self, rows: np.ndarray, found: np.ndarray, slack: np.ndarray
+    ) -> None:
+        """Give every copy of one vector in an answer row its copies' best
+        score, in place.  Copies score within ``slack`` of each other, so
+        only pairs of unequal scores that close compare vectors."""
+        order = np.argsort(found, axis=1)
+        ranked = np.take_along_axis(found, order, axis=1)
+        lines, firsts, seconds = [], [], []
+        for shift in range(1, found.shape[1]):
+            with np.errstate(invalid="ignore"):  # -inf - -inf: no pair
+                gaps = ranked[:, shift:] - ranked[:, :-shift]
+            close = gaps <= slack[:, None]
+            if not close.any():
+                break
+            line, at = np.nonzero(close & (gaps > 0))
+            lines.append(line)
+            firsts.append(order[line, at])
+            seconds.append(order[line, at + shift])
+        if not lines:
+            return
+        line, first, second = map(np.concatenate, (lines, firsts, seconds))
+        a, b = rows[line, first], rows[line, second]
+        real = (a >= 0) & (a < self.n_rows) & (b >= 0) & (b < self.n_rows)
+        copies = real.copy()
+        copies[real] = (self.matrix[a[real]] == self.matrix[b[real]]).all(axis=1)
+        line, first, second = line[copies], first[copies], second[copies]
+        best = found.copy()
+        np.maximum.at(best, (line, first), found[line, second])
+        np.maximum.at(best, (line, second), found[line, first])
+        found[:] = best
+
     def query(self, vector: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Top-``k`` row indices and scores for one query vector."""
         vector = np.asarray(vector, dtype=np.float64)
@@ -406,8 +566,7 @@ class FlatIndex(VectorIndex):
         scores = self._score_rows(self.matrix, self._row_norms, queries)
         if self.has_tombstones:
             scores[~self._active] = -np.inf
-        indices = topk_columns(scores, k)
-        top_scores = scores[indices, np.arange(queries.shape[0])[:, None]]
+        indices, top_scores = self._select(scores, k, queries)
         if self.has_tombstones:
             # a tombstoned row can only surface when k exceeds the number
             # of active rows; mark it like the IVF padding does
@@ -816,9 +975,8 @@ class IVFIndex(VectorIndex):
                 np.empty((batch, 0), dtype=np.int64),
                 np.empty((batch, 0), dtype=np.float64),
             )
-        best = topk_descending(candidate_scores, k)
-        rows_arange = np.arange(batch)[:, None]
-        indices = candidate_ids[rows_arange, best]
-        scores = candidate_scores[rows_arange, best]
+        indices, scores = self._select(
+            candidate_scores.T, k, queries, candidate_ids
+        )
         indices[~np.isfinite(scores)] = -1
         return indices, scores

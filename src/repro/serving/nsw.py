@@ -36,7 +36,7 @@ import heapq
 import numpy as np
 
 from repro.errors import ServingError
-from repro.serving.index import _EPSILON, VectorIndex, topk_descending
+from repro.serving.index import _EPSILON, VectorIndex
 
 NOT_INSERTED = -2
 """Marker in ``adjacency[row, 0]``: row awaits (re-)insertion."""
@@ -508,19 +508,21 @@ class NSWIndex(VectorIndex):
             if ids.size:
                 ids = ids[self._active[ids]]
             if ids.size:
-                # tie-stable ordering by (score desc, id asc): sort the
-                # visited set ascending by id and re-score it in ONE call —
-                # the walk scored nodes in per-expansion chunks, whose
-                # rounding can differ in the last bit between identical
-                # rows, which would break tie ordering
+                # re-score the visited set, in id order and in one call
+                # (the walk scored nodes in per-expansion chunks, whose
+                # rounding differs between identical rows), then select
+                # on (score desc, id asc)
                 ids = np.sort(ids)
                 sims = self._score_rows(
                     self.matrix[ids],
                     self._row_norms[ids],
                     queries[row:row + 1],
-                )[:, 0].astype(np.float64, copy=False)
-                take = topk_descending(sims, min(int(k), ids.size))
-                ids, sims = ids[take], sims[take]
+                )
+                ids, sims = self._select(
+                    sims, k, queries[row:row + 1], ids[None, :]
+                )
+                ids = ids[0]
+                sims = sims[0].astype(np.float64, copy=False)
             else:
                 sims = np.empty(0, dtype=np.float64)
             per_query.append((ids, sims))

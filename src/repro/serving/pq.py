@@ -525,14 +525,11 @@ class PQIndex(VectorIndex):
             ids = short_ids[row][np.isfinite(short_adc[row])]
             if ids.size == 0:
                 continue
-            # exact re-rank, tie-stable by global id: sort the shortlist
-            # ascending so the stable sort inside topk_descending breaks
-            # equal exact scores exactly like FlatIndex does
-            ids = np.sort(ids)
+            # exact re-rank, ties by global id like FlatIndex
             exact = self._score_rows(
                 self.matrix[ids], self._row_norms[ids], queries[row:row + 1]
-            )[:, 0]
-            take = topk_descending(exact, min(k, ids.size))
-            indices[row, : take.size] = ids[take]
-            scores[row, : take.size] = exact[take]
+            )
+            top, top_scores = self._select(exact, k, queries[row:row + 1], ids[None, :])
+            indices[row, : top.shape[1]] = top[0]
+            scores[row, : top.shape[1]] = top_scores[0]
         return indices, scores

@@ -257,8 +257,10 @@ class EmbeddingStore:
         header_tmp = header_path.with_name(
             f"{header_path.name}.{os.getpid()}.tmp"
         )
+        # compact separators keep json on its C encoder (indent does not)
         header_tmp.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
+            encoding="utf-8",
         )
         _maybe_tear(header_tmp, "store.header_write")
         _fsync_file(header_tmp)

@@ -238,3 +238,98 @@ class TestLossFunction:
         baseline = relational_loss(base, base, solver.centroids, solver.weights)
         shifted = relational_loss(base + 1.0, base, solver.centroids, solver.weights)
         assert shifted > baseline
+
+
+#: Entries of the paper-default solves on ``tmdb_problem``, recorded with
+#: the per-relation loop the solvers used before the stacked relational
+#: term: (row, column) -> value, plus the Frobenius norm of the result.
+RECORDED_ROWS = [313, 235, 188, 99, 113, 15, 27, 6, 64, 300, 239, 336]
+RECORDED_COLS = [12, 14, 23, 17, 15, 13, 13, 22, 6, 19, 16, 0]
+RECORDED = {
+    "series": (
+        [-0.1904302728536802, -0.2623734026531528, 0.13632790032436515,
+         0.3251322385984388, 0.0528964727043498, 0.0478718461934131,
+         -0.08965630046998303, -0.018387166006877266, -0.08281963723567665,
+         0.12047507083918874, -0.043371013776263304, -0.09033523831983017],
+        19.1049731745428,
+    ),
+    "optimization": (
+        [-0.04690023240056259, -0.01306004398419448, 0.09281812079858957,
+         0.28514975979046386, 0.02748130213643836, 0.07769915741080614,
+         -0.01789393788196942, 0.010006560603470332, -0.10344620409156563,
+         0.09032407726157096, -0.05159555641881167, -0.07079449127942274],
+        17.41441754952452,
+    ),
+}
+
+
+def paper_default(method):
+    if method == "series":
+        return RetroHyperparameters.paper_rn_default()
+    return RetroHyperparameters.paper_ro_default()
+
+
+def start_matrix(solver, method):
+    """The matrix a cold solve iterates from (RN normalises ``W0``)."""
+    if method == "series":
+        return solver.solve_series(iterations=0)[0]
+    return solver.solve_optimization(iterations=0)[0]
+
+
+class TestOneRelationalForm:
+    """Cold solves, full steps and subset solves share one formula."""
+
+    @pytest.mark.parametrize("method", ["series", "optimization"])
+    def test_cold_solve_is_chained_full_steps(self, tmdb_problem, method):
+        extraction, base = tmdb_problem
+        solver = RetroSolver(extraction, base, paper_default(method))
+        matrix, report = solver.solve(method, iterations=7, tolerance=0.0)
+        stepped = start_matrix(solver, method)
+        for _ in range(report.iterations):
+            stepped = solver.full_step(stepped, method)
+        assert report.iterations == 7
+        assert matrix.tobytes() == stepped.tobytes()
+
+    def test_overflowing_rows_are_repaired_alike(self, toy_problem, monkeypatch):
+        """A non-convex RO setting over a huge ``W0`` overflows rows: the
+        cold path repairs them exactly like the full step does."""
+        extraction, base = toy_problem
+        params = RetroHyperparameters(alpha=1.0, beta=0.0, gamma=1.0, delta=8.0)
+        solver = RetroSolver(extraction, base * 1e306, params)
+        repaired = []
+        repair = RetroSolver._repair_rows
+
+        def spy(updated, previous):
+            repaired.append(int((~np.isfinite(updated)).any(axis=1).sum()))
+            return repair(updated, previous)
+
+        monkeypatch.setattr(RetroSolver, "_repair_rows", staticmethod(spy))
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix, report = solver.solve_optimization(iterations=20, tolerance=0.0)
+            stepped = start_matrix(solver, "optimization")
+            for _ in range(report.iterations):
+                stepped = solver.full_step(stepped, "optimization")
+        assert sum(repaired) > 0
+        assert np.all(np.isfinite(matrix))
+        assert matrix.tobytes() == stepped.tobytes()
+
+    @pytest.mark.parametrize("method", ["series", "optimization"])
+    def test_all_rows_subset_agrees_with_cold(self, tmdb_problem, method):
+        extraction, base = tmdb_problem
+        solver = RetroSolver(extraction, base, paper_default(method))
+        cold, _ = solver.solve(method, tolerance=0.0)
+        subset, report = solver.solve(
+            method, tolerance=0.0, active_rows=np.arange(len(extraction))
+        )
+        assert report.mode == "subset"
+        assert np.max(np.abs(subset - cold)) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["series", "optimization"])
+    def test_paper_defaults_match_recorded_outputs(self, tmdb_problem, method):
+        extraction, base = tmdb_problem
+        solver = RetroSolver(extraction, base, paper_default(method))
+        matrix, report = solver.solve(method)
+        entries, norm = RECORDED[method]
+        assert report.iterations == (10 if method == "series" else 20)
+        assert np.max(np.abs(matrix[RECORDED_ROWS, RECORDED_COLS] - entries)) <= 1e-12
+        assert abs(np.linalg.norm(matrix) - norm) <= 1e-12

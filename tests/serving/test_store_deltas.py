@@ -8,7 +8,7 @@ from repro.db.delta import DatabaseDelta
 from repro.errors import StoreFormatError
 from repro.retrofit.hyperparams import RetroHyperparameters
 from repro.retrofit.pipeline import RetroPipeline
-from repro.serving.index import IVFIndex
+from repro.serving.index import FlatIndex, IVFIndex
 from repro.serving.store import EmbeddingStore
 
 
@@ -64,8 +64,18 @@ class TestDeltaRecords:
         query = retrofitter.embeddings.vector_for(
             "movies.title", "silent meridian 2"
         )
-        hits, _ = index.query(query, 1)
-        assert loaded.extraction.records[int(hits[0])].text == "silent meridian 2"
+        # identical vectors tie; (score desc, id asc) puts the lowest id
+        # holding the query's vector first, alone or inside a batch
+        holders = np.flatnonzero(
+            (index.matrix == query.astype(index.matrix.dtype)).all(axis=1)
+        )
+        assert holders.size
+        flat = FlatIndex(index.matrix)
+        batch = np.vstack((query, loaded.matrix[:7]))
+        for width in (1, 8):
+            hits, _ = index.query_batch(batch[:width], 1)
+            flat_hits, _ = flat.query_batch(batch[:width], 1)
+            assert int(hits[0, 0]) == int(flat_hits[0, 0]) == int(holders.min())
 
     def test_replay_preserves_value_to_vector_mapping(self, stream):
         """Regression: the store writes headers with sorted JSON keys, which

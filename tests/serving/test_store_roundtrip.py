@@ -218,6 +218,27 @@ class TestStoreValidation:
         with pytest.raises(StoreFormatError):
             RetroResult.load(saved)
 
+    def test_header_is_compact_json(self, saved):
+        text = (saved / "result.json").read_text()
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        header = json.loads(text)
+        assert text == json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
+
+    def test_indented_header_still_loads_and_verifies(self, tmdb_result, saved):
+        """Stores saved with ``indent=2`` headers stay readable, and their
+        matrix checksums are still checked."""
+        header_path = saved / "result.json"
+        header = json.loads(header_path.read_text())
+        header_path.write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
+        loaded = RetroResult.load(saved)
+        assert np.array_equal(loaded.embeddings.matrix, tmdb_result.embeddings.matrix)
+        matrix_path = saved / header["matrix_file"]
+        payload = bytearray(matrix_path.read_bytes())
+        payload[len(payload) // 2] ^= 0xFF
+        matrix_path.write_bytes(bytes(payload))
+        with pytest.raises(StoreFormatError, match="corrupt"):
+            RetroResult.load(saved)
+
     def test_unparseable_header(self, saved):
         (saved / "result.json").write_text("{not json")
         with pytest.raises(StoreFormatError, match="unreadable"):

@@ -200,3 +200,45 @@ class TestIVFIndex:
         assert ivf.n_cells == 4
         indices, _ = ivf.query(rng.normal(size=3), 4)
         assert set(indices.tolist()) == {0, 1, 2, 3}
+
+
+class TestBatchWidthTies:
+    """Copies of one vector rank by id whatever the batch width.
+
+    BLAS rounds a row's score differently depending on where the row sits
+    in the call and how many queries share it: a single-query product
+    scores rows 361 and 364 of this matrix (one vector, twice) an ulp
+    apart, while an 8-query product ties them.
+    """
+
+    @pytest.fixture()
+    def duplicated(self):
+        rng = np.random.default_rng(1)
+        matrix = rng.normal(size=(365, 16))
+        matrix[364] = matrix[361]
+        queries = np.vstack((matrix[361], rng.normal(size=(7, 16))))
+        return matrix, queries
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("kind", ["flat", "ivf", "nsw"])
+    def test_single_and_batched_answers_agree(self, duplicated, kind, k):
+        from repro.serving.nsw import NSWIndex
+
+        matrix, queries = duplicated
+        if kind == "flat":
+            index = FlatIndex(matrix)
+        elif kind == "ivf":
+            index = IVFIndex(matrix, n_cells=8, nprobe=8)
+        else:
+            index = NSWIndex(matrix, max_degree=8, ef_search=len(matrix))
+        batch_ids, batch_scores = index.query_batch(queries, k)
+        slack = 2 * matrix.shape[1] * np.finfo(np.float64).eps
+        for row, query in enumerate(queries):
+            ids, scores = index.query_batch(query[None, :], k)
+            assert np.array_equal(ids[0], batch_ids[row])
+            assert np.allclose(scores[0], batch_scores[row], rtol=0, atol=slack)
+            assert np.all(np.diff(scores[0]) <= 0)
+        assert list(batch_ids[0, :2]) == [361, 364][:k]
+        if k > 1:
+            for scores in (index.query_batch(queries[:1], k)[1][0], batch_scores[0]):
+                assert scores[0] == scores[1]
