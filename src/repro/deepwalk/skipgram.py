@@ -7,8 +7,9 @@ Two trainers share the same model state:
   a precomputed :class:`~repro.deepwalk.alias.AliasTable` over the
   unigram^0.75 distribution (O(1) per draw instead of an O(vocab)
   cumulative-distribution rebuild), and updates are applied per minibatch
-  of (center, context) pairs: one gather, one batched sigmoid, and two
-  ``np.add.at`` scatter-accumulations per batch, with a linearly decayed
+  of (center, context) pairs: one gather, one batched sigmoid, one sparse
+  product that sums the output-vector updates and one ``np.add.at``
+  scatter of the center updates per batch, with a linearly decayed
   learning rate computed per batch.
 * :meth:`SkipGramModel.train_naive` — the original per-position reference
   trainer (one ``rng.choice(p=noise)`` per position).  Kept for regression
@@ -23,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from repro.deepwalk.alias import shared_alias_table
 from repro.errors import TrainingError
@@ -206,23 +208,21 @@ class SkipGramModel:
             np.log(scores[:, 0] + _LOG_EPSILON).sum()
             + np.log(1.0 - scores[:, 1:] + _LOG_EPSILON).sum()
         )
-        gradient = scores * learning_rate
-        gradient[:, 0] -= learning_rate  # labels: 1 for context, 0 for noise
-        center_gradient = np.einsum("bk,bkd->bd", gradient, target_vectors)
-        target_gradient = gradient[:, :, None] * center_vectors[:, None, :]
+        step = scores * -learning_rate  # lr * (label - sigma)
+        step[:, 0] += learning_rate  # labels: 1 for context, 0 for noise
+        center_step = np.einsum("bk,bkd->bd", step, target_vectors)
+        # one sparse (vocab x batch) product sums every pair's output update
+        self._output_vectors += sparse.csr_matrix(
+            (step.ravel(), (targets.ravel(), np.arange(centers.size).repeat(k + 1))),
+            shape=(len(self._vocab), centers.size),
+        ) @ center_vectors
         dimension = self.config.dimension
         # scatter-accumulate through flattened element indices: numpy's 1-D
         # indexed add loop is several times faster than row-wise ufunc.at
-        dims = np.arange(dimension)
-        np.add.at(
-            self._output_vectors.ravel(),
-            (targets.reshape(-1, 1) * dimension + dims).ravel(),
-            -target_gradient.reshape(-1),
-        )
         np.add.at(
             self._input_vectors.ravel(),
-            (centers[:, None] * dimension + dims).ravel(),
-            -center_gradient.reshape(-1),
+            (centers[:, None] * dimension + np.arange(dimension)).ravel(),
+            center_step.ravel(),
         )
         return float(loss)
 

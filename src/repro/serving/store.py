@@ -6,10 +6,10 @@ solver.  :class:`EmbeddingStore` writes named artifacts into a directory:
 * ``<name>.json`` — a versioned header (format marker, format version,
   artifact kind, hyperparameters, solver report, extraction metadata and a
   SHA-256 checksum of the matrix archive),
-* ``<name>.<checksum12>.npz`` — all dense matrices of the artifact, under a
-  content-addressed file name referenced by the header; the header rename
-  is the commit point of a save, so an interrupted overwrite never damages
-  the previously stored artifact.
+* ``<name>.<checksum12>.npz`` — all dense matrices of the artifact,
+  uncompressed, under a content-addressed file name referenced by the
+  header; the header rename is the commit point of a save, so an
+  interrupted overwrite never damages the previously stored artifact.
 
 Loading validates the format marker, the version, the checksum and the
 matrix/extraction shape agreement, raising :class:`StoreFormatError` (a
@@ -238,7 +238,7 @@ class EmbeddingStore:
         # the tmp name is per-process so concurrent savers never collide
         matrix_tmp = self.root / f"{name}.{os.getpid()}.tmp.npz"
         faults.fire("store.artifact_write", "before")
-        np.savez_compressed(matrix_tmp, **arrays)
+        np.savez(matrix_tmp, **arrays)
         _maybe_tear(matrix_tmp, "store.artifact_write")
         _fsync_file(matrix_tmp)
         checksum = _sha256(matrix_tmp)
@@ -383,9 +383,9 @@ class EmbeddingStore:
         """Open one array of artifact ``name`` as a read-only memory map.
 
         npz archives are zip files, so ``np.load(..., mmap_mode="r")``
-        silently ignores the mmap request and decompresses every array
-        into private process memory — N shard workers would hold N full
-        float64 copies.  This instead extracts the requested array once
+        silently ignores the mmap request and reads every array into
+        private process memory — N shard workers would hold N full float64
+        copies.  This instead extracts the requested array once
         into a content-addressed ``.npy`` sidecar
         (``<name>.<checksum12>.<array>.npy``, committed via atomic
         rename) and memory-maps that: the checksum is verified once at

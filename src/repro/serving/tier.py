@@ -660,7 +660,7 @@ class ServingTier:
         if self._stopped:
             raise ServingError(f"cannot restart a stopped {self._kind} tier")
         # extract the mmap sidecar once, before forking: N workers racing
-        # the first extraction would each decompress the archive
+        # the first extraction would each read the archive
         matrix = self._store.open_matrix_readonly(self._artifact)
         self._dimension = int(matrix.shape[1])
         base, version = self._store.load_embedding_set_readonly(self._artifact)

@@ -180,3 +180,89 @@ class TestIntegerCorpusPath:
             SkipGramModel.from_corpus(
                 WalkCorpus(matrix=np.empty((0, 4), dtype=np.int64), node_ids=())
             )
+
+
+class TestBatchedAccumulation:
+    """The minibatched trainer sums every pair's update of a shared row."""
+
+    def test_one_batch_matches_a_per_pair_loop(self, monkeypatch):
+        model = SkipGramModel(
+            [[f"t{i}" for i in range(6)]],
+            SkipGramConfig(dimension=5, negative_samples=2, seed=4),
+        )
+        rng = np.random.default_rng(9)
+        model._output_vectors[:] = rng.normal(scale=0.3, size=(6, 5))
+        # center 0 in three pairs, context 3 in three pairs, noise token 4
+        # in three pairs (twice in the first), 3 both context and noise
+        centers = np.array([0, 0, 1, 2, 0], dtype=np.int64)
+        contexts = np.array([3, 3, 4, 3, 5], dtype=np.int64)
+        negatives = np.array(
+            [[4, 4], [5, 1], [3, 4], [4, 0], [2, 2]], dtype=np.int64
+        )
+
+        def pinned(_rng, size):
+            assert size == negatives.shape
+            return negatives
+
+        monkeypatch.setattr(model._noise_alias, "sample", pinned)
+        input_before = model._input_vectors.copy()
+        output_before = model._output_vectors.copy()
+        learning_rate = 0.05
+        expected_input = input_before.copy()
+        expected_output = output_before.copy()
+        expected_loss = 0.0
+        for center, context, noise in zip(centers, contexts, negatives):
+            labelled = [(context, 1.0)] + [(token, 0.0) for token in noise]
+            for target, label in labelled:
+                score = 1.0 / (
+                    1.0 + np.exp(-(input_before[center] @ output_before[target]))
+                )
+                expected_loss -= np.log(
+                    (score if label else 1.0 - score) + 1e-10
+                )
+                step = learning_rate * (label - score)
+                expected_output[target] += step * input_before[center]
+                expected_input[center] += step * output_before[target]
+
+        loss = model._train_batch(centers, contexts, learning_rate)
+
+        np.testing.assert_allclose(
+            model._output_vectors, expected_output, rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            model._input_vectors, expected_input, rtol=0, atol=1e-12
+        )
+        assert loss == pytest.approx(expected_loss, rel=1e-12)
+
+    def test_from_corpus_training_matches_recorded_vectors(self):
+        """Pins the trainer's output at a fixed seed: a change to how the
+        updates are applied may reorder sums, never move the vectors."""
+        rows = np.arange(30)[:, None]
+        steps = np.arange(8)[None, :]
+        matrix = (rows * 7 + steps * steps * 3 + rows * steps) % 12
+        matrix[steps >= 8 - rows % 3] = PAD
+        corpus = WalkCorpus(
+            matrix=matrix.astype(np.int64),
+            node_ids=tuple(f"n{i}" for i in range(12)),
+        )
+        model = SkipGramModel.from_corpus(
+            corpus,
+            SkipGramConfig(
+                dimension=6, window=3, negative_samples=3, epochs=2,
+                batch_size=16, seed=7,
+            ),
+        ).train()
+        vectors = model.matrix()
+        recorded = {
+            0: [0.01159024971582727, 0.09536913355257236, 0.06190405469793752,
+                -0.0901928378478427, -0.030582956985985264, 0.03149461242996127],
+            11: [-0.03157056901902771, -0.013004103328439468, 0.1006292275934825,
+                 -0.11858225062087015, 0.03252546990489127, -0.09084547063635234],
+        }
+        for row, values in recorded.items():
+            np.testing.assert_allclose(vectors[row], values, rtol=0, atol=1e-12)
+        assert abs(np.linalg.norm(vectors) - 0.5975942771812114) <= 1e-12
+        assert abs(np.linalg.norm(model._output_vectors) - 0.44992987410453994) <= 1e-12
+        assert model.loss_history == pytest.approx(
+            [2.7693484185016857, 2.753625534881344], rel=1e-12
+        )

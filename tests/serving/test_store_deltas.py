@@ -1,5 +1,8 @@
 """Tests for versioned embedding-set delta records and compaction."""
 
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -219,3 +222,50 @@ class TestDeltaRecordReads:
         _, _, store = stream
         with pytest.raises(StoreFormatError, match="no artifact"):
             store.read_embedding_set_delta("rn", 7)
+
+
+def member_compression(store, name):
+    """The zip compression types of artifact ``name``'s matrix archive."""
+    header = json.loads((store.root / f"{name}.json").read_text())
+    with zipfile.ZipFile(store.root / header["matrix_file"]) as archive:
+        return {member.compress_type for member in archive.infolist()}
+
+
+class TestDeflatedArchives:
+    """Artifacts written by the earlier zlib-compressing writer stay valid."""
+
+    def test_deflated_chain_loads_verifies_replays_and_maps(
+        self, stream, monkeypatch
+    ):
+        dataset, retrofitter, store = stream
+        base_matrix = retrofitter.embeddings.matrix.copy()
+        # the earlier writer: every archive through np.savez_compressed
+        monkeypatch.setattr(np, "savez", np.savez_compressed)
+        store.save_embedding_set("old", retrofitter.embeddings)
+        store.append_embedding_set_delta("old", apply_one(dataset, retrofitter, 1))
+        monkeypatch.undo()
+        store.append_embedding_set_delta("old", apply_one(dataset, retrofitter, 2))
+        assert member_compression(store, "old") == {zipfile.ZIP_DEFLATED}
+        assert member_compression(store, "old.delta000001") == {zipfile.ZIP_DEFLATED}
+        assert member_compression(store, "old.delta000002") == {zipfile.ZIP_STORED}
+
+        loaded, _, version = store.load_embedding_set_versioned("old")
+        assert version == 2
+        assert np.array_equal(loaded.matrix, retrofitter.embeddings.matrix)
+
+        mapped = store.open_matrix_readonly("old")
+        assert isinstance(mapped, np.memmap)
+        assert np.array_equal(mapped, base_matrix)
+        assert list(store.root.glob("old.*.matrix.npy"))
+        base, base_version = store.load_embedding_set_readonly("old")
+        assert base_version == 0
+        assert np.array_equal(base.matrix, base_matrix)
+
+        # the checksum still covers the deflated bytes
+        header = json.loads((store.root / "old.json").read_text())
+        archive = store.root / header["matrix_file"]
+        raw = bytearray(archive.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        archive.write_bytes(bytes(raw))
+        with pytest.raises(StoreFormatError, match="checksum"):
+            store.load_embedding_set("old")
